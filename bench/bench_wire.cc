@@ -73,7 +73,7 @@ CodecRunResult RunNextWord(const protocol::WireCodecConfig& codec,
       ++total_updates;
       // Aggregator side: decode and accumulate.
       const double t0 = NowSeconds();
-      auto back = fedavg::DecodeUpdate(wire.payload);
+      auto back = fedavg::DecodeUpdate(wire.payload, flat.size());
       result.decode_seconds += NowSeconds() - t0;
       result.decode_bytes += static_cast<double>(wire.payload.size());
       FL_CHECK(back.ok());

@@ -8,13 +8,12 @@ namespace fl::actor {
 namespace {
 
 // Maps the metric type slug onto the profiler's actor-tag vocabulary so
-// samples taken inside OnMessage attribute to the server component.
+// samples taken inside OnMessage attribute to the server component. The
+// Coordinator names Master Aggregators "master-r<round>", slug "master".
 profiler::ActorTag ProfilerTagFor(const std::string& metric_type) {
   if (metric_type == "coordinator") return profiler::ActorTag::kCoordinator;
   if (metric_type == "selector") return profiler::ActorTag::kSelector;
-  if (metric_type == "master_aggregator") {
-    return profiler::ActorTag::kMasterAggregator;
-  }
+  if (metric_type == "master") return profiler::ActorTag::kMasterAggregator;
   if (metric_type == "aggregator") return profiler::ActorTag::kAggregator;
   return profiler::ActorTag::kOther;
 }

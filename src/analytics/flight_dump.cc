@@ -89,13 +89,6 @@ const char* FlightReasonName(FlightReason r) {
   return i < kReasonNames.size() ? kReasonNames[i] : "other";
 }
 
-FlightReason FlightReasonForDetail(std::string_view reason) {
-  for (std::size_t i = 1; i < kReasonNames.size(); ++i) {
-    if (reason == kReasonNames[i]) return static_cast<FlightReason>(i);
-  }
-  return FlightReason::kOther;
-}
-
 bool JournalRecordFromFlight(const telemetry::FlightRecord& rec,
                              JournalRecord* out) {
   if (!IsJournalKind(rec.source, rec.kind)) return false;

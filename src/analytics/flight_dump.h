@@ -1,7 +1,7 @@
 // Journal-typed view over the telemetry flight recorder. fl_telemetry keeps
 // the rings protocol-agnostic (opaque u8 source/kind, two aux words); this
 // header owns the encoding: journal sources/events map one-to-one onto the
-// flight codes, free-form reason strings become FlightReason codes, and the
+// flight codes, rejection and loss reasons are FlightReason codes, and the
 // dump synthesizes `#fl-journal v1`-format lines that fl_analyze ingests
 // exactly like a real journal (minus byte-accounting details, which the
 // rings do not carry).
@@ -27,7 +27,7 @@ namespace fl::analytics {
 // uses a fixed string ("late", "round_full", ...).
 enum class FlightReason : std::uint8_t {
   kNone = 0,
-  // Selector rejections (detail strings match selector.cc verbatim).
+  // Selector rejections (their journal details are these names).
   kWaitingPoolFull,   // "waiting pool full"
   kNotAccepting,      // "not accepting"
   kQuotaReduced,      // "quota reduced"
@@ -50,9 +50,6 @@ enum class FlightReason : std::uint8_t {
 };
 
 const char* FlightReasonName(FlightReason r);
-// Inverse for call sites that hold a free-form reason string (the selector's
-// RejectLink); unknown strings map to kOther.
-FlightReason FlightReasonForDetail(std::string_view reason);
 
 // aux_b packing for round-level records: low byte = FlightReason, high byte
 // = RoundOutcome + 1 (0 = no outcome recorded).

@@ -58,10 +58,10 @@ void DeviceAgent::Configure(const std::string& population,
                             const std::string& store_name,
                             Duration min_checkin_interval) {
   GetOrCreateStore(store_name);
-  const Status s = scheduler_.RegisterPopulation(
+  const auto id = scheduler_.RegisterPopulation(
       device::PopulationRegistration{population, store_name,
                                      min_checkin_interval});
-  FL_CHECK_MSG(s.ok(), s.ToString());
+  FL_CHECK_MSG(id.ok(), id.status().ToString());
 }
 
 device::InMemoryExampleStore& DeviceAgent::GetOrCreateStore(
@@ -155,7 +155,7 @@ void DeviceAgent::TryCheckin() {
   BeginSession(*population);
 }
 
-void DeviceAgent::BeginSession(const std::string& population) {
+void DeviceAgent::BeginSession(device::PopulationId population) {
   ++sessions_started_;
   ++session_counter_;
   const std::uint64_t gen = ++generation_;
@@ -175,28 +175,27 @@ void DeviceAgent::BeginSession(const std::string& population) {
   // Invocation: "the FL runtime contacts the FL server to announce that it
   // is ready to run tasks for the given FL population").
   const std::uint64_t nonce = rng_.Next();
-  const device::AttestationToken token =
+  session_->attestation =
       profile_.genuine
           ? services_.attestation->Issue(profile_.id, nonce)
           : services_.attestation->Forge(profile_.id, nonce, rng_.Next());
 
   const Duration handshake = services_.network->SampleRtt() * 2;
-  services_.queue->After(handshake, [this, gen, token, population] {
+  services_.queue->After(handshake, [this, gen] {
     if (!Active(gen)) return;
     AddTrace(SessionEvent::kCheckin);
     const profiler::ScopedPhase profile_scope(profiler::Phase::kCheckin);
     server::CheckInRequest req;
     req.device = profile_.id;
     req.session = session_->id;
-    req.population = population;
     req.runtime_version = profile_.os_version;
-    req.attestation = token;
+    req.attestation = session_->attestation;
     // Selector-side records for this check-in carry the device context.
     const telemetry::ScopedTraceContext scope(session_->ctx);
     const bool ok = services_.frontend->CheckIn(req, MakeLink(gen));
     if (!ok) {
       // Attestation rejected (or no selectors): long back-off.
-      scheduler_.SetEarliestCheckin(population,
+      scheduler_.SetEarliestCheckin(session_->population,
                                     services_.queue->now() + Hours(6));
       EndSession(false);
       return;

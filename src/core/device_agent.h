@@ -59,7 +59,10 @@ class DeviceAgent {
     SessionId id;
     std::uint64_t generation = 0;
     SimTime checkin_at;
-    std::string population;
+    device::PopulationId population{};
+    // Issued (or forged) at session start, presented at check-in; held here
+    // so the handshake callback captures only (this, generation).
+    device::AttestationToken attestation;
     analytics::SessionTrace trace;
     // Causal context: seeded at check-in (device + session), completed on
     // assignment (round + the server's config span as parent). Installed
@@ -102,7 +105,7 @@ class DeviceAgent {
   void OnToggle(bool now_eligible);
   void ScheduleCheckinPoll(Duration delay);
   void TryCheckin();
-  void BeginSession(const std::string& population);
+  void BeginSession(device::PopulationId population);
 
   // --- server link callbacks (all generation-guarded) ---
   server::DeviceLink MakeLink(std::uint64_t generation);

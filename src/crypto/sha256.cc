@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/crypto/sha256_internal.h"
+
 namespace fl::crypto {
 namespace {
 
@@ -22,14 +24,9 @@ inline std::uint32_t Rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-}
-
-void Sha256::ProcessBlock(const std::uint8_t* block) {
+// FIPS 180-4 Sec. 6.2.2 message schedule and compression, one word at a
+// time.
+void ScalarBlock(std::uint32_t state[8], const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -44,8 +41,8 @@ void Sha256::ProcessBlock(const std::uint8_t* block) {
         Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -62,14 +59,45 @@ void Sha256::ProcessBlock(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+internal::Sha256BlocksFn ActiveBlocks() {
+  static const internal::Sha256BlocksFn blocks = [] {
+    const internal::Sha256BlocksFn shani = internal::Sha256ShaNiKernel();
+    return shani != nullptr ? shani : internal::Sha256BlocksScalar;
+  }();
+  return blocks;
+}
+
+}  // namespace
+
+namespace internal {
+
+void Sha256BlocksScalar(std::uint32_t state[8], const std::uint8_t* data,
+                        std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) ScalarBlock(state, data);
+}
+
+Sha256BlocksFn Sha256ShaNiKernel() {
+#if defined(FL_SHA256_SHANI)
+  if (__builtin_cpu_supports("sha")) return Sha256BlocksShaNi;
+#endif
+  return nullptr;
+}
+
+}  // namespace internal
+
+Sha256::Sha256() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 }
 
 void Sha256::Update(std::span<const std::uint8_t> data) {
@@ -82,13 +110,14 @@ void Sha256::Update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     pos = take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
+      ActiveBlocks()(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (pos + 64 <= data.size()) {
-    ProcessBlock(data.data() + pos);
-    pos += 64;
+  const std::size_t blocks = (data.size() - pos) / 64;
+  if (blocks > 0) {
+    ActiveBlocks()(state_.data(), data.data() + pos, blocks);
+    pos += blocks * 64;
   }
   if (pos < data.size()) {
     std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
@@ -97,17 +126,20 @@ void Sha256::Update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::Finalize() {
-  // Append 0x80, pad with zeros, append 64-bit big-endian length.
-  std::uint8_t pad[72] = {0x80};
-  const std::uint64_t bits = bit_count_;
-  const std::size_t rem = buffer_len_;
-  const std::size_t pad_len = (rem < 56) ? (56 - rem) : (120 - rem);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
+  // Append 0x80, pad with zeros to 56 mod 64, append the 64-bit big-endian
+  // bit length — written straight into the block buffer.
+  const internal::Sha256BlocksFn blocks = ActiveBlocks();
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    blocks(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  Update(std::span<const std::uint8_t>(pad, pad_len));
-  Update(std::span<const std::uint8_t>(len_be, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_count_ >> (8 * (7 - i)));
+  }
+  blocks(state_.data(), buffer_.data(), 1);
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
@@ -130,8 +162,7 @@ Digest Sha256::Hash(const std::string& s) {
   return h.Finalize();
 }
 
-Digest HmacSha256(std::span<const std::uint8_t> key,
-                  std::span<const std::uint8_t> message) {
+HmacSha256Key::HmacSha256Key(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > 64) {
     const Digest d = Sha256::Hash(key);
@@ -144,14 +175,22 @@ Digest HmacSha256(std::span<const std::uint8_t> key,
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Sha256 inner;
-  inner.Update(std::span<const std::uint8_t>(ipad));
+  inner_.Update(std::span<const std::uint8_t>(ipad));
+  outer_.Update(std::span<const std::uint8_t>(opad));
+}
+
+Digest HmacSha256Key::Mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
   const Digest inner_digest = inner.Finalize();
-  Sha256 outer;
-  outer.Update(std::span<const std::uint8_t>(opad));
+  Sha256 outer = outer_;
   outer.Update(std::span<const std::uint8_t>(inner_digest));
   return outer.Finalize();
+}
+
+Digest HmacSha256(std::span<const std::uint8_t> key,
+                  std::span<const std::uint8_t> message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 Digest DeriveKey(std::span<const std::uint8_t> key_material,

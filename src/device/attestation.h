@@ -8,6 +8,10 @@
 // "platform") and compromised devices cannot. The server verifies tokens
 // against the authority. This preserves the check-in control flow and the
 // accept/reject behaviour under data-poisoning attempts.
+//
+// The authority's HMAC key (ipad/opad states) is built once, so Issue and
+// Verify cost two SHA-256 compressions each; Verify still recomputes the
+// MAC for every check-in, as the paper attests every connection.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +30,7 @@ struct AttestationToken {
 
 class AttestationAuthority {
  public:
-  explicit AttestationAuthority(std::uint64_t platform_secret)
-      : secret_(platform_secret) {}
+  explicit AttestationAuthority(std::uint64_t platform_secret);
 
   // Issued by the platform on genuine devices. Non-genuine devices cannot
   // call this; they forge tokens with a wrong secret.
@@ -40,9 +43,7 @@ class AttestationAuthority {
   bool Verify(const AttestationToken& token) const;
 
  private:
-  crypto::Digest Mac(DeviceId device, std::uint64_t nonce,
-                     std::uint64_t secret) const;
-  std::uint64_t secret_;
+  crypto::HmacSha256Key key_;
 };
 
 }  // namespace fl::device

@@ -4,63 +4,64 @@
 
 namespace fl::device {
 
-Status MultiTenantScheduler::RegisterPopulation(PopulationRegistration reg) {
-  const std::string name = reg.population;
-  if (entries_.count(name) > 0) {
-    return AlreadyExistsError("population '" + name + "' already registered");
+Result<PopulationId> MultiTenantScheduler::RegisterPopulation(
+    PopulationRegistration reg) {
+  if (Find(reg.population).ok()) {
+    return AlreadyExistsError("population '" + reg.population +
+                              "' already registered");
   }
-  entries_.emplace(name, Entry{std::move(reg), SimTime{0}});
-  queue_.push_back(name);
+  const auto id = static_cast<PopulationId>(entries_.size());
+  entries_.push_back(Entry{std::move(reg), SimTime{0}});
+  queue_.push_back(id);
+  return id;
+}
+
+Status MultiTenantScheduler::UnregisterPopulation(PopulationId population) {
+  const auto it = std::find(queue_.begin(), queue_.end(), population);
+  if (it == queue_.end()) {
+    return NotFoundError("population id " +
+                         std::to_string(static_cast<std::uint32_t>(population)) +
+                         " not registered");
+  }
+  queue_.erase(it);
+  entries_[static_cast<std::size_t>(population)].registered = false;
   return Status::Ok();
 }
 
-Status MultiTenantScheduler::UnregisterPopulation(
-    const std::string& population) {
-  if (entries_.erase(population) == 0) {
-    return NotFoundError("population '" + population + "' not registered");
-  }
-  queue_.erase(std::remove(queue_.begin(), queue_.end(), population),
-               queue_.end());
-  return Status::Ok();
-}
-
-std::optional<std::string> MultiTenantScheduler::NextSession(
+std::optional<PopulationId> MultiTenantScheduler::NextSession(
     SimTime now) const {
   if (running_) return std::nullopt;  // one training session at a time
-  for (const std::string& name : queue_) {
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) continue;
-    if (it->second.earliest_next <= now) return name;
+  for (const PopulationId id : queue_) {
+    if (entries_[static_cast<std::size_t>(id)].earliest_next <= now) return id;
   }
   return std::nullopt;
 }
 
-void MultiTenantScheduler::OnSessionStarted(const std::string& population,
+void MultiTenantScheduler::OnSessionStarted(PopulationId population,
                                             SimTime now) {
-  const auto it = entries_.find(population);
-  if (it == entries_.end()) return;
+  const auto it = std::find(queue_.begin(), queue_.end(), population);
+  if (it == queue_.end()) return;
   running_ = true;
-  it->second.earliest_next = now + it->second.reg.min_checkin_interval;
+  Entry& entry = entries_[static_cast<std::size_t>(population)];
+  entry.earliest_next = now + entry.reg.min_checkin_interval;
   // Rotate to the back of the worker queue.
-  auto qit = std::find(queue_.begin(), queue_.end(), population);
-  if (qit != queue_.end()) {
-    queue_.erase(qit);
-    queue_.push_back(population);
-  }
+  std::rotate(it, it + 1, queue_.end());
 }
 
-void MultiTenantScheduler::SetEarliestCheckin(const std::string& population,
+void MultiTenantScheduler::SetEarliestCheckin(PopulationId population,
                                               SimTime earliest) {
-  const auto it = entries_.find(population);
-  if (it == entries_.end()) return;
-  it->second.earliest_next = std::max(it->second.earliest_next, earliest);
+  const auto index = static_cast<std::size_t>(population);
+  if (index >= entries_.size() || !entries_[index].registered) return;
+  entries_[index].earliest_next =
+      std::max(entries_[index].earliest_next, earliest);
 }
 
 std::optional<SimTime> MultiTenantScheduler::NextRunnableAt(
     SimTime now) const {
   std::optional<SimTime> best;
-  for (const auto& [name, entry] : entries_) {
-    const SimTime t = std::max(entry.earliest_next, now);
+  for (const PopulationId id : queue_) {
+    const SimTime t =
+        std::max(entries_[static_cast<std::size_t>(id)].earliest_next, now);
     if (!best.has_value() || t < *best) best = t;
   }
   return best;
@@ -68,11 +69,12 @@ std::optional<SimTime> MultiTenantScheduler::NextRunnableAt(
 
 Result<const PopulationRegistration*> MultiTenantScheduler::Find(
     const std::string& population) const {
-  const auto it = entries_.find(population);
-  if (it == entries_.end()) {
-    return NotFoundError("population '" + population + "' not registered");
+  for (const Entry& entry : entries_) {
+    if (entry.registered && entry.reg.population == population) {
+      return &entry.reg;
+    }
   }
-  return &it->second.reg;
+  return NotFoundError("population '" + population + "' not registered");
 }
 
 }  // namespace fl::device

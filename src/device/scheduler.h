@@ -5,10 +5,10 @@
 // consumption)."
 #pragma once
 
-#include <deque>
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
@@ -24,23 +24,29 @@ struct PopulationRegistration {
   Duration min_checkin_interval = Hours(1);  // JobScheduler cadence floor
 };
 
+// A population's handle on one device's scheduler, handed out at
+// registration so the check-in path never touches the name. Ids are not
+// reused after UnregisterPopulation.
+enum class PopulationId : std::uint32_t {};
+
 class MultiTenantScheduler {
  public:
-  Status RegisterPopulation(PopulationRegistration reg);
-  Status UnregisterPopulation(const std::string& population);
+  // Fails with kAlreadyExists when the name is registered.
+  Result<PopulationId> RegisterPopulation(PopulationRegistration reg);
+  Status UnregisterPopulation(PopulationId population);
 
   // The worker queue: next population due to run at `now`, respecting the
   // per-population cadence and any server-suggested pace-steering windows.
   // Returns nullopt when nothing is runnable.
-  std::optional<std::string> NextSession(SimTime now) const;
+  std::optional<PopulationId> NextSession(SimTime now) const;
 
   // Marks a session started; the population moves to the back of the queue
   // (strict FIFO worker queue — the paper notes this is "blind" to app usage
   // and calls smarter policies future work).
-  void OnSessionStarted(const std::string& population, SimTime now);
+  void OnSessionStarted(PopulationId population, SimTime now);
 
   // Records the server-suggested reconnect window (pace steering).
-  void SetEarliestCheckin(const std::string& population, SimTime earliest);
+  void SetEarliestCheckin(PopulationId population, SimTime earliest);
 
   // Earliest future time at which any registered population becomes
   // runnable; nullopt when nothing is registered.
@@ -49,7 +55,8 @@ class MultiTenantScheduler {
   bool running() const { return running_; }
   void OnSessionEnded() { running_ = false; }
 
-  std::size_t registered_count() const { return entries_.size(); }
+  // The FIFO holds exactly the registered populations.
+  std::size_t registered_count() const { return queue_.size(); }
   Result<const PopulationRegistration*> Find(
       const std::string& population) const;
 
@@ -57,11 +64,14 @@ class MultiTenantScheduler {
   struct Entry {
     PopulationRegistration reg;
     SimTime earliest_next;  // max(last run + cadence, pace-steering window)
+    bool registered = true;
   };
 
-  std::map<std::string, Entry> entries_;
-  std::deque<std::string> queue_;  // FIFO order among registered populations
-  bool running_ = false;           // no parallel sessions
+  // Indexed by PopulationId; unregistered entries stay as tombstones so
+  // ids remain stable. A device registers a handful of populations at most.
+  std::vector<Entry> entries_;
+  std::vector<PopulationId> queue_;  // FIFO order among registered populations
+  bool running_ = false;             // no parallel sessions
 };
 
 }  // namespace fl::device

@@ -64,10 +64,10 @@ Result<std::vector<float>> ReadQuantized(BytesReader& r, std::size_t count,
   if (!(max_abs >= 0.0f) || !std::isfinite(max_abs)) {
     return DataLossError("bad quantization scale");
   }
-  std::vector<float> values(count);
-  if (count == 0) return values;
+  if (count == 0) return std::vector<float>{};
   FL_ASSIGN_OR_RETURN(std::vector<std::uint32_t> levels,
                       wire::UnpackBits(r, count, bits));
+  std::vector<float> values(count);
   const double inv_scale =
       max_abs > 0.0f ? static_cast<double>(max_abs) / qmax : 0.0;
   const auto max_level = static_cast<std::uint32_t>(2 * qmax);
@@ -171,6 +171,7 @@ EncodedUpdate EncodeUpdate(std::span<const float> update,
 }
 
 Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
+                                        std::size_t expected_floats,
                                         std::span<const float> reference) {
   BytesReader r(payload);
   for (char expected : kMagic) {
@@ -181,6 +182,9 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
   }
   FL_ASSIGN_OR_RETURN(std::uint8_t flags, r.ReadU8());
   FL_ASSIGN_OR_RETURN(std::uint64_t total, r.ReadVarint());
+  if (total != expected_floats) {
+    return DataLossError("update length differs from the model size");
+  }
   const bool delta = (flags & kFlagDelta) != 0;
   const bool topk = (flags & kFlagTopK) != 0;
   std::uint8_t bits = 32;
@@ -198,6 +202,12 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
     FL_ASSIGN_OR_RETURN(kept, r.ReadVarint());
     if (kept > total) return DataLossError("kept count exceeds total");
     FL_ASSIGN_OR_RETURN(std::uint8_t index_mode, r.ReadU8());
+    // Bound by the bytes left before reserving: a bitmap holds 8 indices a
+    // byte, a varint index takes at least one.
+    if (index_mode == kIndexBitmap ? total > r.remaining() * 8
+                                   : kept > r.remaining()) {
+      return DataLossError("index count exceeds payload");
+    }
     indices.reserve(kept);
     if (index_mode == kIndexBitmap) {
       const std::size_t bitmap_bytes = (total + 7) / 8;
@@ -229,6 +239,9 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
   if (bits != 32) {
     FL_ASSIGN_OR_RETURN(values, ReadQuantized(r, kept, bits));
   } else {
+    if (kept > r.remaining() / sizeof(float)) {
+      return DataLossError("value count exceeds payload");
+    }
     values.resize(kept);
     for (auto& v : values) {
       FL_ASSIGN_OR_RETURN(v, r.ReadF32());

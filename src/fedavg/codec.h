@@ -51,8 +51,11 @@ EncodedUpdate EncodeUpdate(std::span<const float> update,
 
 // Inverts EncodeUpdate. Coordinates dropped by top-k decode to the
 // reference value (delta on) or zero. Pass the same `reference` the
-// encoder used.
+// encoder used. `expected_floats` is the model size the caller holds: a
+// payload declaring another length is DataLoss, and every other count is
+// bounded by the payload's bytes, before anything is allocated.
 Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
+                                        std::size_t expected_floats,
                                         std::span<const float> reference = {});
 
 // ---------------------------------------------------------------------------

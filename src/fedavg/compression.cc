@@ -26,6 +26,11 @@ void PackBits(BytesWriter& w, std::span<const std::uint32_t> levels,
 Result<std::vector<std::uint32_t>> UnpackBits(BytesReader& r,
                                               std::size_t count,
                                               std::uint8_t bits) {
+  if (bits < 1 || bits > 32) return DataLossError("bad bit width");
+  // count * bits must fit the bytes left; checked before allocating.
+  if (count > r.remaining() * 8 / bits) {
+    return DataLossError("packed level count exceeds payload");
+  }
   std::vector<std::uint32_t> levels(count);
   std::uint64_t acc = 0;
   int filled = 0;
@@ -134,9 +139,20 @@ Result<std::vector<float>> Decompress(const CompressedUpdate& update) {
   FL_ASSIGN_OR_RETURN(std::uint8_t bits, r.ReadU8());
   FL_ASSIGN_OR_RETURN(std::uint64_t kept, r.ReadVarint());
   if (kept > total) return DataLossError("kept count exceeds total");
+  // Every count below is checked before it sizes an allocation: the output
+  // against the declared model size, the rest against the bytes left.
+  if (total != update.original_floats) {
+    return DataLossError("update length differs from the model size");
+  }
+  if (subsampled == 0 && kept != total) {
+    return DataLossError("dense update size mismatch");
+  }
 
   std::vector<std::uint32_t> indices;
   if (subsampled != 0) {
+    if (kept > r.remaining()) {  // one varint byte per index at least
+      return DataLossError("index count exceeds payload");
+    }
     indices.resize(kept);
     std::uint32_t prev = 0;
     for (auto& idx : indices) {
@@ -147,8 +163,12 @@ Result<std::vector<float>> Decompress(const CompressedUpdate& update) {
     }
   }
 
-  std::vector<float> values(kept);
+  std::vector<float> values;
   if (bits == 32 || kept == 0) {
+    if (kept > r.remaining() / sizeof(float)) {
+      return DataLossError("value count exceeds payload");
+    }
+    values.resize(kept);
     for (auto& v : values) {
       FL_ASSIGN_OR_RETURN(v, r.ReadF32());
     }
@@ -160,19 +180,16 @@ Result<std::vector<float>> Decompress(const CompressedUpdate& update) {
     const auto max_level = static_cast<std::uint32_t>((1u << bits) - 1);
     FL_ASSIGN_OR_RETURN(std::vector<std::uint32_t> levels,
                         wire::UnpackBits(r, kept, bits));
+    values.resize(kept);
     for (std::size_t i = 0; i < kept; ++i) {
       values[i] = static_cast<float>(
           lo + range * levels[i] / static_cast<double>(max_level));
     }
   }
 
+  if (subsampled == 0) return values;
   std::vector<float> out(total, 0.0f);
-  if (subsampled != 0) {
-    for (std::size_t i = 0; i < kept; ++i) out[indices[i]] = values[i];
-  } else {
-    if (kept != total) return DataLossError("dense update size mismatch");
-    out = std::move(values);
-  }
+  for (std::size_t i = 0; i < kept; ++i) out[indices[i]] = values[i];
   return out;
 }
 

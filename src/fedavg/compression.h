@@ -47,7 +47,8 @@ struct CompressedUpdate {
 
 namespace wire {
 // Little-endian bit packing shared by the compression and codec layers:
-// writes `bits` bits per level, reads them back.
+// writes `bits` bits per level, reads them back. UnpackBits rejects a
+// `count` the reader's remaining bytes cannot hold before allocating.
 void PackBits(BytesWriter& w, std::span<const std::uint32_t> levels,
               std::uint8_t bits);
 Result<std::vector<std::uint32_t>> UnpackBits(BytesReader& r,
@@ -61,7 +62,10 @@ Result<std::vector<std::uint32_t>> UnpackBits(BytesReader& r,
 CompressedUpdate Compress(std::span<const float> update,
                           const CompressionConfig& config, std::uint64_t seed);
 
-// Reconstructs an unbiased estimate of the original vector.
+// Reconstructs an unbiased estimate of the original vector. The payload's
+// declared length must equal `update.original_floats`, the model size the
+// caller expects; every other count is bounded by the payload's bytes, so a
+// lying header is DataLoss rather than an allocation.
 Result<std::vector<float>> Decompress(const CompressedUpdate& update);
 
 }  // namespace fl::fedavg

@@ -110,6 +110,9 @@ Result<Graph> Graph::Deserialize(std::span<const std::uint8_t> data) {
     }
     FL_ASSIGN_OR_RETURN(std::string name, r.ReadString());
     FL_ASSIGN_OR_RETURN(std::uint64_t n_inputs, r.ReadVarint());
+    if (n_inputs > r.remaining()) {  // one varint byte per input at least
+      return DataLossError("graph input count exceeds payload");
+    }
     std::vector<NodeId> inputs;
     inputs.reserve(n_inputs);
     for (std::uint64_t k = 0; k < n_inputs; ++k) {

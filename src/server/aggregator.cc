@@ -148,7 +148,8 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
         JournalReport(link, analytics::JournalEventKind::kCheckinRejected,
                       "reason=runtime_too_old");
       }
-      link.reject(RejectionNotice{NextWindow(), "runtime too old"});
+      link.reject(RejectionNotice{NextWindow(),
+                                  analytics::FlightReason::kRuntimeTooOld});
       init_.context->stats->OnDeviceRejected(Now());
       continue;
     }
@@ -221,7 +222,8 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
         return Checkpoint::Deserialize(report.update_bytes);
       }
       // Codec path: payload is the encoded flat weighted delta.
-      auto flat = fedavg::DecodeUpdate(report.update_bytes);
+      auto flat = fedavg::DecodeUpdate(
+          report.update_bytes, init_.global_model->TotalParameters());
       if (!flat.ok()) return flat.status();
       return init_.global_model->Unflatten(*flat);
     }();

@@ -127,7 +127,7 @@ void MasterAggregatorActor::HandleForwarded(std::vector<DeviceLink> links) {
           init_.context->pace->SuggestWindow(
               Now(), init_.context->estimated_population, Duration{},
               *init_.context->rng),
-          "round full"});
+          analytics::FlightReason::kRoundFull});
       init_.context->stats->OnDeviceRejected(Now());
       continue;
     }
@@ -398,7 +398,7 @@ void MasterAggregatorActor::Abandon(protocol::RoundOutcome outcome,
         init_.context->pace->SuggestWindow(
             Now(), init_.context->estimated_population, Duration{},
             *init_.context->rng),
-        "round abandoned"});
+        analytics::FlightReason::kRoundAbandonedReject});
     init_.context->stats->OnDeviceRejected(Now());
   }
   pending_links_.clear();

@@ -67,7 +67,7 @@ struct TaskAssignment {
 // instructions to reconnect at a later point in time" (Sec. 2.2).
 struct RejectionNotice {
   protocol::ReconnectWindow retry_window;
-  std::string reason;
+  analytics::FlightReason reason = analytics::FlightReason::kNone;
 };
 
 struct ReportAck {
@@ -110,7 +110,6 @@ struct DeviceLink {
 struct CheckInRequest {
   DeviceId device;
   SessionId session;
-  std::string population;
   std::uint32_t runtime_version = 1;
   device::AttestationToken attestation;
 };

@@ -52,19 +52,19 @@ void SelectorActor::OnMessage(const actor::Envelope& env) {
 }
 
 void SelectorActor::RejectLink(const DeviceLink& link,
-                               const std::string& reason) {
+                               analytics::FlightReason reason) {
   ++total_rejected_;
   init_.context->stats->OnDeviceRejected(Now());
-  analytics::RecordFlight(
-      Now(), analytics::JournalSource::kSelector,
-      analytics::JournalEventKind::kCheckinRejected, link.device, link.session,
-      RoundId{}, 0,
-      static_cast<std::uint16_t>(analytics::FlightReasonForDetail(reason)));
+  analytics::RecordFlight(Now(), analytics::JournalSource::kSelector,
+                          analytics::JournalEventKind::kCheckinRejected,
+                          link.device, link.session, RoundId{}, 0,
+                          static_cast<std::uint16_t>(reason));
   if (analytics::JournalEnabled()) {
-    analytics::AppendJournal(Now(), analytics::JournalSource::kSelector,
-                             analytics::JournalEventKind::kCheckinRejected,
-                             link.device, link.session, RoundId{},
-                             "reason=" + reason);
+    analytics::AppendJournal(
+        Now(), analytics::JournalSource::kSelector,
+        analytics::JournalEventKind::kCheckinRejected, link.device,
+        link.session, RoundId{},
+        std::string("reason=") + analytics::FlightReasonName(reason));
   }
   link.reject(RejectionNotice{
       init_.context->pace->SuggestWindow(Now(),
@@ -76,7 +76,8 @@ void SelectorActor::RejectLink(const DeviceLink& link,
 void SelectorActor::HandleArrival(const MsgDeviceArrived& msg) {
   // Local accept/reject decision based on the Coordinator's quota.
   if (!accepting_ || waiting_.size() >= quota_max_waiting_) {
-    RejectLink(msg.link, accepting_ ? "waiting pool full" : "not accepting");
+    RejectLink(msg.link, accepting_ ? analytics::FlightReason::kWaitingPoolFull
+                                    : analytics::FlightReason::kNotAccepting);
     return;
   }
   ++total_accepted_;
@@ -96,7 +97,7 @@ void SelectorActor::HandleQuota(const MsgSelectorQuota& msg) {
   quota_max_waiting_ = msg.max_waiting;
   // Shed over-quota waiters with retry windows.
   while (waiting_.size() > quota_max_waiting_) {
-    RejectLink(waiting_.front(), "quota reduced");
+    RejectLink(waiting_.front(), analytics::FlightReason::kQuotaReduced);
     waiting_.pop_front();
   }
 }
@@ -119,7 +120,7 @@ void SelectorActor::HandleTick() {
   // open stream past any useful round).
   const SimTime cutoff = Now() - init_.max_hold;
   while (!waiting_.empty() && waiting_.front().connected_at < cutoff) {
-    RejectLink(waiting_.front(), "held too long");
+    RejectLink(waiting_.front(), analytics::FlightReason::kHeldTooLong);
     waiting_.pop_front();
   }
   Send(init_.coordinator,

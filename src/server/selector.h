@@ -52,7 +52,7 @@ class SelectorActor final : public actor::Actor {
   void HandleForward(const MsgForwardDevices& msg);
   void HandleTick();
   void HandleCoordinatorDeath(bool crashed);
-  void RejectLink(const DeviceLink& link, const std::string& reason);
+  void RejectLink(const DeviceLink& link, analytics::FlightReason reason);
 
   Init init_;
   std::deque<DeviceLink> waiting_;

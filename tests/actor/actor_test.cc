@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/profiler/profiler.h"
 
 namespace fl::actor {
 namespace {
@@ -72,6 +75,37 @@ TEST_F(ActorTest, SendAfterDelaysDelivery) {
   EXPECT_TRUE(system.Get<Recorder>(id)->values.empty());
   queue.RunUntil(SimTime{6000});
   EXPECT_EQ(system.Get<Recorder>(id)->values.size(), 1u);
+}
+
+// Records the profiler's actor tag in force while it handles a message.
+class TagProbe final : public Actor {
+ public:
+  void OnMessage(const Envelope&) override {
+    tag = profiler::CurrentTag().actor;
+  }
+  std::uint8_t tag = 0xFF;
+};
+
+TEST_F(ActorTest, ProfilerTagFollowsRuntimeActorNames) {
+  if (!profiler::kCompiledIn) GTEST_SKIP() << "profiler compiled out";
+  const bool was_enabled = profiler::Enabled();
+  profiler::SetEnabled(true);
+  const std::pair<const char*, profiler::ActorTag> cases[] = {
+      {"master-r1", profiler::ActorTag::kMasterAggregator},
+      {"master-r12", profiler::ActorTag::kMasterAggregator},
+      {"aggregator-r1-0", profiler::ActorTag::kAggregator},
+      {"selector-0", profiler::ActorTag::kSelector},
+      {"coordinator", profiler::ActorTag::kCoordinator},
+      {"rec", profiler::ActorTag::kOther},
+  };
+  for (const auto& [name, want] : cases) {
+    const ActorId id = system.Spawn<TagProbe>(name);
+    system.Send(ActorId{}, id, Ping{});
+    queue.Run();
+    EXPECT_EQ(system.Get<TagProbe>(id)->tag, static_cast<std::uint8_t>(want))
+        << name;
+  }
+  profiler::SetEnabled(was_enabled);
 }
 
 TEST_F(ActorTest, SendToDeadActorIsDropped) {

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/crypto/sha256_internal.h"
+
 namespace fl::crypto {
 namespace {
+
+std::span<const std::uint8_t> AsBytes(const std::string& s) {
+  return std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
 
 TEST(Sha256Test, Fips180Vectors) {
   // FIPS 180-4 test vectors.
@@ -77,6 +88,70 @@ TEST(HmacSha256Test, LongKeyIsHashedFirst) {
                reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()));
   EXPECT_EQ(DigestToHex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// RFC 4231 cases 3, 4, 6 and 7, each through the one-shot HmacSha256 and
+// through one precomputed HmacSha256Key reused across messages (cases 6 and
+// 7 share their key, so one key object serves both).
+TEST(HmacSha256Test, Rfc4231OneShotAndPrecomputedKeyAgree) {
+  struct Case {
+    std::vector<std::uint8_t> key;
+    std::string msg;
+    const char* mac;
+  };
+  std::vector<std::uint8_t> key4;
+  for (std::uint8_t b = 1; b <= 25; ++b) key4.push_back(b);
+  const std::vector<std::uint8_t> key67(131, 0xaa);
+  const std::vector<Case> cases = {
+      {std::vector<std::uint8_t>(20, 0xaa), std::string(50, '\xdd'),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {key4, std::string(50, '\xcd'),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {key67, "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {key67,
+       "This is a test using a larger than block-size key and a larger than "
+       "block-size data. The key needs to be hashed before being used by the "
+       "HMAC algorithm.",
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(DigestToHex(HmacSha256(c.key, AsBytes(c.msg))), c.mac);
+    // A reused key object: MACs of other messages in between leave it intact.
+    const HmacSha256Key key(c.key);
+    EXPECT_EQ(DigestToHex(key.Mac(AsBytes(c.msg))), c.mac);
+    (void)key.Mac(AsBytes("some other message"));
+    EXPECT_EQ(DigestToHex(key.Mac(AsBytes(c.msg))), c.mac);
+  }
+  const HmacSha256Key shared(key67);
+  EXPECT_EQ(DigestToHex(shared.Mac(AsBytes(cases[2].msg))), cases[2].mac);
+  EXPECT_EQ(DigestToHex(shared.Mac(AsBytes(cases[3].msg))), cases[3].mac);
+  EXPECT_EQ(DigestToHex(shared.Mac(AsBytes(cases[2].msg))), cases[2].mac);
+}
+
+// The SHA-NI kernel against the scalar reference on seeded random chaining
+// states and blocks, one block and several blocks per call.
+TEST(Sha256KernelTest, ShaNiMatchesScalarOnRandomBlocks) {
+  const internal::Sha256BlocksFn shani = internal::Sha256ShaNiKernel();
+  if (shani == nullptr) {
+    GTEST_SKIP() << "CPU or build without the SHA extensions";
+  }
+  Rng rng(20190401);
+  std::uint8_t data[4 * 64];
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::uint32_t scalar[8], vector[8];
+    for (auto& w : scalar) w = static_cast<std::uint32_t>(rng.Next());
+    std::memcpy(vector, scalar, sizeof(scalar));
+    for (std::size_t i = 0; i < sizeof(data); i += 8) {
+      const std::uint64_t v = rng.Next();
+      std::memcpy(data + i, &v, 8);
+    }
+    const std::size_t blocks = trial < 9000 ? 1 : 1 + trial % 4;
+    internal::Sha256BlocksScalar(scalar, data, blocks);
+    shani(vector, data, blocks);
+    ASSERT_EQ(std::memcmp(scalar, vector, sizeof(scalar)), 0)
+        << "trial=" << trial << " blocks=" << blocks;
+  }
 }
 
 TEST(DeriveKeyTest, DistinctLabelsYieldDistinctKeys) {

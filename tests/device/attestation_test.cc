@@ -11,6 +11,16 @@ TEST(AttestationTest, GenuineTokenVerifies) {
   EXPECT_TRUE(authority.Verify(token));
 }
 
+TEST(AttestationTest, GoldenMac) {
+  // HMAC-SHA256(key = LE64(secret), msg = LE64(device) || LE64(nonce)),
+  // pinned so a kernel or key-schedule change cannot silently move it.
+  AttestationAuthority authority(0x5EC2E7);
+  const auto token = authority.Issue(DeviceId{42}, 7);
+  EXPECT_EQ(crypto::DigestToHex(token.mac),
+            "713ae55820c3a3b05b56797207d2adb2851830e5ee30a91456bd988919cb5933");
+  EXPECT_EQ(authority.Forge(DeviceId{42}, 7, 0x5EC2E7).mac, token.mac);
+}
+
 TEST(AttestationTest, ForgedTokenRejected) {
   AttestationAuthority authority(12345);
   const auto forged = authority.Forge(DeviceId{7}, 999, 54321);

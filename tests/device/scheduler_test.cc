@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace fl::device {
 namespace {
 
 PopulationRegistration Reg(const std::string& name,
                            Duration cadence = Hours(1)) {
   return PopulationRegistration{name, name + "-store", cadence};
+}
+
+// Registers `name` and returns its id (fails the test on error).
+PopulationId Add(MultiTenantScheduler& s, const std::string& name,
+                 Duration cadence = Hours(1)) {
+  auto id = s.RegisterPopulation(Reg(name, cadence));
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  return id.value_or(PopulationId{});
 }
 
 TEST(SchedulerTest, RegisterAndFind) {
@@ -22,35 +32,44 @@ TEST(SchedulerTest, RegisterAndFind) {
 TEST(SchedulerTest, DuplicateRegistrationRejected) {
   MultiTenantScheduler s;
   ASSERT_TRUE(s.RegisterPopulation(Reg("a")).ok());
-  EXPECT_EQ(s.RegisterPopulation(Reg("a")).code(),
+  EXPECT_EQ(s.RegisterPopulation(Reg("a")).status().code(),
             ErrorCode::kAlreadyExists);
+  EXPECT_EQ(s.registered_count(), 1u);
 }
 
 TEST(SchedulerTest, Unregister) {
   MultiTenantScheduler s;
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a")).ok());
-  ASSERT_TRUE(s.UnregisterPopulation("a").ok());
+  const PopulationId a = Add(s, "a");
+  ASSERT_TRUE(s.UnregisterPopulation(a).ok());
   EXPECT_EQ(s.registered_count(), 0u);
   EXPECT_FALSE(s.NextSession(SimTime{0}).has_value());
-  EXPECT_FALSE(s.UnregisterPopulation("a").ok());
+  EXPECT_FALSE(s.NextRunnableAt(SimTime{0}).has_value());
+  EXPECT_FALSE(s.Find("a").ok());
+  EXPECT_FALSE(s.UnregisterPopulation(a).ok());
+  // The name can come back; it gets a fresh id and the old one stays dead.
+  const PopulationId again = Add(s, "a");
+  EXPECT_NE(again, a);
+  EXPECT_EQ(*s.NextSession(SimTime{0}), again);
+  s.SetEarliestCheckin(a, SimTime{Hours(9).millis});  // ignored
+  EXPECT_EQ(s.NextRunnableAt(SimTime{0})->millis, 0);
 }
 
 TEST(SchedulerTest, FifoOrderAmongPopulations) {
   MultiTenantScheduler s;
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a")).ok());
-  ASSERT_TRUE(s.RegisterPopulation(Reg("b")).ok());
-  EXPECT_EQ(*s.NextSession(SimTime{0}), "a");
-  s.OnSessionStarted("a", SimTime{0});
+  const PopulationId a = Add(s, "a");
+  const PopulationId b = Add(s, "b");
+  EXPECT_EQ(*s.NextSession(SimTime{0}), a);
+  s.OnSessionStarted(a, SimTime{0});
   s.OnSessionEnded();
   // "a" rotated to the back and throttled by cadence; "b" is next.
-  EXPECT_EQ(*s.NextSession(SimTime{1}), "b");
+  EXPECT_EQ(*s.NextSession(SimTime{1}), b);
 }
 
 TEST(SchedulerTest, NoParallelSessions) {
   MultiTenantScheduler s;
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a")).ok());
-  ASSERT_TRUE(s.RegisterPopulation(Reg("b")).ok());
-  s.OnSessionStarted("a", SimTime{0});
+  const PopulationId a = Add(s, "a");
+  Add(s, "b");
+  s.OnSessionStarted(a, SimTime{0});
   EXPECT_TRUE(s.running());
   // While a session runs nothing else is offered ("we avoid running
   // training sessions on-device in parallel").
@@ -61,8 +80,8 @@ TEST(SchedulerTest, NoParallelSessions) {
 
 TEST(SchedulerTest, CadenceThrottlesRepeatRuns) {
   MultiTenantScheduler s;
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a", Hours(2))).ok());
-  s.OnSessionStarted("a", SimTime{0});
+  const PopulationId a = Add(s, "a", Hours(2));
+  s.OnSessionStarted(a, SimTime{0});
   s.OnSessionEnded();
   EXPECT_FALSE(s.NextSession(SimTime{Hours(1).millis}).has_value());
   EXPECT_TRUE(s.NextSession(SimTime{Hours(2).millis}).has_value());
@@ -70,8 +89,8 @@ TEST(SchedulerTest, CadenceThrottlesRepeatRuns) {
 
 TEST(SchedulerTest, PaceSteeringWindowRespected) {
   MultiTenantScheduler s;
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a", Seconds(1))).ok());
-  s.SetEarliestCheckin("a", SimTime{Hours(5).millis});
+  const PopulationId a = Add(s, "a", Seconds(1));
+  s.SetEarliestCheckin(a, SimTime{Hours(5).millis});
   EXPECT_FALSE(s.NextSession(SimTime{Hours(4).millis}).has_value());
   EXPECT_TRUE(s.NextSession(SimTime{Hours(5).millis}).has_value());
 }
@@ -79,10 +98,10 @@ TEST(SchedulerTest, PaceSteeringWindowRespected) {
 TEST(SchedulerTest, NextRunnableAtReportsEarliest) {
   MultiTenantScheduler s;
   EXPECT_FALSE(s.NextRunnableAt(SimTime{0}).has_value());
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a")).ok());
-  ASSERT_TRUE(s.RegisterPopulation(Reg("b")).ok());
-  s.SetEarliestCheckin("a", SimTime{5000});
-  s.SetEarliestCheckin("b", SimTime{9000});
+  const PopulationId a = Add(s, "a");
+  const PopulationId b = Add(s, "b");
+  s.SetEarliestCheckin(a, SimTime{5000});
+  s.SetEarliestCheckin(b, SimTime{9000});
   EXPECT_EQ(s.NextRunnableAt(SimTime{0})->millis, 5000);
   // Past times clamp to now.
   EXPECT_EQ(s.NextRunnableAt(SimTime{6000})->millis, 6000);
@@ -91,9 +110,9 @@ TEST(SchedulerTest, NextRunnableAtReportsEarliest) {
 TEST(SchedulerTest, StaleAppNeverStarves) {
   // The FIFO worker queue guarantees both populations run over time.
   MultiTenantScheduler s;
-  ASSERT_TRUE(s.RegisterPopulation(Reg("a", Seconds(1))).ok());
-  ASSERT_TRUE(s.RegisterPopulation(Reg("b", Seconds(1))).ok());
-  std::map<std::string, int> runs;
+  const PopulationId a = Add(s, "a", Seconds(1));
+  const PopulationId b = Add(s, "b", Seconds(1));
+  std::map<PopulationId, int> runs;
   SimTime t{0};
   for (int i = 0; i < 20; ++i) {
     const auto next = s.NextSession(t);
@@ -103,8 +122,8 @@ TEST(SchedulerTest, StaleAppNeverStarves) {
     s.OnSessionEnded();
     t = t + Seconds(2);
   }
-  EXPECT_EQ(runs["a"], 10);
-  EXPECT_EQ(runs["b"], 10);
+  EXPECT_EQ(runs[a], 10);
+  EXPECT_EQ(runs[b], 10);
 }
 
 }  // namespace

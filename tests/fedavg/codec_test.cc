@@ -38,7 +38,7 @@ TEST(CodecTest, DenseFloatRoundTripIsExact) {
   Rng rng(11);
   const std::vector<float> update = RandomUpdate(257, rng);
   const EncodedUpdate enc = EncodeUpdate(update, Config(false, 1.0, 32), 1);
-  auto dec = DecodeUpdate(enc.payload);
+  auto dec = DecodeUpdate(enc.payload, update.size());
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
   ASSERT_EQ(dec->size(), update.size());
   for (std::size_t i = 0; i < update.size(); ++i) {
@@ -53,7 +53,7 @@ TEST(CodecTest, DeltaStageRoundTripIsExact) {
   for (auto& x : update) x += 0.01f * static_cast<float>(rng.NextDouble());
   const EncodedUpdate enc =
       EncodeUpdate(update, Config(true, 1.0, 32), 1, reference);
-  auto dec = DecodeUpdate(enc.payload, reference);
+  auto dec = DecodeUpdate(enc.payload, update.size(), reference);
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
   for (std::size_t i = 0; i < update.size(); ++i) {
     EXPECT_FLOAT_EQ((*dec)[i], update[i]) << i;
@@ -65,7 +65,7 @@ TEST(CodecTest, DeltaDecodeWithoutReferenceFails) {
   const std::vector<float> reference = RandomUpdate(16, rng);
   const EncodedUpdate enc =
       EncodeUpdate(reference, Config(true, 1.0, 32), 1, reference);
-  EXPECT_FALSE(DecodeUpdate(enc.payload).ok());
+  EXPECT_FALSE(DecodeUpdate(enc.payload, reference.size()).ok());
 }
 
 TEST(CodecTest, TopKKeepsLargestMagnitudesAndZeroFills) {
@@ -75,7 +75,7 @@ TEST(CodecTest, TopKKeepsLargestMagnitudesAndZeroFills) {
   update[40] = 3.0f;
   const EncodedUpdate enc =
       EncodeUpdate(update, Config(false, 3.0 / 64.0, 32), 1);
-  auto dec = DecodeUpdate(enc.payload);
+  auto dec = DecodeUpdate(enc.payload, update.size());
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
   for (std::size_t i = 0; i < update.size(); ++i) {
     if (i == 3 || i == 17 || i == 40) {
@@ -92,7 +92,7 @@ TEST(CodecTest, QuantizationErrorBoundedByOneLevel) {
   for (std::uint8_t bits : {4, 8}) {
     const EncodedUpdate enc =
         EncodeUpdate(update, Config(false, 1.0, bits), 99);
-    auto dec = DecodeUpdate(enc.payload);
+    auto dec = DecodeUpdate(enc.payload, update.size());
     ASSERT_TRUE(dec.ok()) << dec.status().ToString();
     float max_abs = 0.0f;
     for (float v : update) max_abs = std::max(max_abs, std::abs(v));
@@ -115,7 +115,7 @@ TEST(CodecTest, StochasticQuantizationIsUnbiased) {
   for (int t = 0; t < trials; ++t) {
     const EncodedUpdate enc =
         EncodeUpdate(update, config, static_cast<std::uint64_t>(t) + 1);
-    auto dec = DecodeUpdate(enc.payload);
+    auto dec = DecodeUpdate(enc.payload, update.size());
     ASSERT_TRUE(dec.ok());
     for (std::size_t i = 0; i < update.size(); ++i) mean[i] += (*dec)[i];
   }
@@ -142,7 +142,7 @@ TEST(CodecTest, ComposedDeltaTopKInt4RoundTrips) {
   }
   const protocol::WireCodecConfig config = Config(true, 0.1, 4);
   const EncodedUpdate enc = EncodeUpdate(update, config, 5, reference);
-  auto dec = DecodeUpdate(enc.payload, reference);
+  auto dec = DecodeUpdate(enc.payload, update.size(), reference);
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
   ASSERT_EQ(dec->size(), n);
   float max_residual = 0.0f;
@@ -175,8 +175,8 @@ TEST(CodecTest, IndexEncodingAdaptsToDensity) {
   const EncodedUpdate enc_dense =
       EncodeUpdate(sparse, Config(false, 0.5, 32), 1);
   // Both must decode regardless of which representation was chosen.
-  ASSERT_TRUE(DecodeUpdate(enc_sparse.payload).ok());
-  ASSERT_TRUE(DecodeUpdate(enc_dense.payload).ok());
+  ASSERT_TRUE(DecodeUpdate(enc_sparse.payload, sparse.size()).ok());
+  ASSERT_TRUE(DecodeUpdate(enc_dense.payload, sparse.size()).ok());
   // 5 kept indices as varints use far fewer than 512 bitmap bytes; the
   // payload difference proves the encoder adapted.
   EXPECT_LT(enc_sparse.payload.size(), 4 + 1 + 3 + 2 + 5 * 3 + 5 * 4 + 16);
@@ -190,14 +190,76 @@ TEST(CodecTest, DecodeRejectsCorruption) {
   // Bad magic.
   Bytes bad = enc.payload;
   bad[0] ^= 0xFF;
-  EXPECT_FALSE(DecodeUpdate(bad).ok());
+  EXPECT_FALSE(DecodeUpdate(bad, update.size()).ok());
   // Truncation.
   Bytes cut(enc.payload.begin(), enc.payload.end() - 3);
-  EXPECT_FALSE(DecodeUpdate(cut).ok());
+  EXPECT_FALSE(DecodeUpdate(cut, update.size()).ok());
   // Trailing garbage.
   Bytes extra = enc.payload;
   extra.push_back(0);
-  EXPECT_FALSE(DecodeUpdate(extra).ok());
+  EXPECT_FALSE(DecodeUpdate(extra, update.size()).ok());
+  // A length other than the model's.
+  EXPECT_FALSE(DecodeUpdate(enc.payload, update.size() + 1).ok());
+  ASSERT_TRUE(DecodeUpdate(enc.payload, update.size()).ok());
+}
+
+// FLW1 headers whose counts lie about the bytes that follow, or about the
+// model size: DataLoss before any count sizes an allocation. Each lie but
+// the last declares the length the caller expects, so the byte bounds are
+// what rejects it.
+TEST(CodecTest, DecodeRejectsLengthLiesBeforeAllocating) {
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  auto header = [](std::uint8_t flags, std::uint64_t total) {
+    BytesWriter w;
+    for (char c : {'F', 'L', 'W', '1'}) {
+      w.WriteU8(static_cast<std::uint8_t>(c));
+    }
+    w.WriteU8(flags);
+    w.WriteVarint(total);
+    return w;
+  };
+  std::vector<std::pair<Bytes, std::uint64_t>> lies;  // payload, model size
+  {
+    BytesWriter w = header(0, huge);  // dense floats
+    w.WriteF32(1.0f);
+    lies.emplace_back(std::move(w).Take(), huge);
+  }
+  {
+    BytesWriter w = header(0x04, huge);  // dense int8
+    w.WriteU8(8);
+    w.WriteF32(1.0f);
+    w.WriteU8(0);
+    lies.emplace_back(std::move(w).Take(), huge);
+  }
+  for (std::uint8_t index_mode : {0, 1}) {  // top-k: bitmap, varint
+    BytesWriter w = header(0x02, huge);
+    w.WriteVarint(huge);  // kept
+    w.WriteU8(index_mode);
+    w.WriteU8(1);
+    lies.emplace_back(std::move(w).Take(), huge);
+  }
+  {
+    // A total whose bitmap size would wrap around 2^64.
+    BytesWriter w = header(0x02, ~std::uint64_t{0});
+    w.WriteVarint(huge);  // kept
+    w.WriteU8(0);         // bitmap
+    w.WriteU8(1);
+    lies.emplace_back(std::move(w).Take(), ~std::uint64_t{0});
+  }
+  {
+    // Top-k with one varint index: only the model size bounds `total`.
+    BytesWriter w = header(0x02, huge);
+    w.WriteVarint(1);  // kept
+    w.WriteU8(1);      // varint indices
+    w.WriteVarint(5);
+    w.WriteF32(1.0f);
+    lies.emplace_back(std::move(w).Take(), 100);
+  }
+  for (const auto& [lie, model_size] : lies) {
+    const auto dec = DecodeUpdate(lie, model_size);
+    ASSERT_FALSE(dec.ok());
+    EXPECT_EQ(dec.status().code(), ErrorCode::kDataLoss);
+  }
 }
 
 TEST(CodecTest, KeepCountClampsAndCeils) {

@@ -145,6 +145,60 @@ TEST(CompressionTest, TruncatedPayloadRejected) {
   EXPECT_FALSE(Decompress(c).ok());
 }
 
+// A hand-built FLCU payload whose header claims `total` floats of which
+// `kept` travel, followed by 16 filler bytes.
+CompressedUpdate LyingPayload(std::uint64_t total, bool subsampled,
+                              std::uint8_t bits, std::uint64_t kept,
+                              std::size_t declared_floats) {
+  BytesWriter w;
+  for (char c : {'F', 'L', 'C', 'U'}) w.WriteU8(static_cast<std::uint8_t>(c));
+  w.WriteVarint(total);
+  w.WriteU8(subsampled ? 1 : 0);
+  w.WriteU8(bits);
+  w.WriteVarint(kept);
+  for (int i = 0; i < 16; ++i) w.WriteU8(1);
+  CompressedUpdate c;
+  c.payload = std::move(w).Take();
+  c.original_floats = declared_floats;
+  return c;
+}
+
+// Length lies must be DataLoss before any count sizes an allocation.
+TEST(CompressionTest, LengthLiesRejectedBeforeAllocating) {
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const struct {
+    const char* what;
+    CompressedUpdate update;
+  } cases[] = {
+      {"sparse, total beyond the model",
+       LyingPayload(huge, true, 32, 1, 100)},
+      {"sparse, kept beyond the payload",
+       LyingPayload(huge, true, 32, huge, huge)},
+      {"dense float, kept beyond the payload",
+       LyingPayload(huge, false, 32, huge, huge)},
+      {"dense quantized, kept beyond the payload",
+       LyingPayload(huge, false, 8, huge, huge)},
+      {"dense, kept below total", LyingPayload(100, false, 32, 3, 100)},
+  };
+  for (const auto& c : cases) {
+    const auto back = Decompress(c.update);
+    ASSERT_FALSE(back.ok()) << c.what;
+    EXPECT_EQ(back.status().code(), ErrorCode::kDataLoss) << c.what;
+  }
+}
+
+TEST(CompressionTest, UnpackBitsBoundsCountByPayload) {
+  const Bytes two_bytes = {0xFF, 0xFF};
+  BytesReader ok_reader(two_bytes);
+  EXPECT_TRUE(wire::UnpackBits(ok_reader, 4, 4).ok());
+  BytesReader short_reader(two_bytes);
+  const auto lie = wire::UnpackBits(short_reader, std::size_t{1} << 40, 4);
+  ASSERT_FALSE(lie.ok());
+  EXPECT_EQ(lie.status().code(), ErrorCode::kDataLoss);
+  BytesReader zero_width(two_bytes);
+  EXPECT_FALSE(wire::UnpackBits(zero_width, 4, 0).ok());
+}
+
 class CompressionSweep
     : public ::testing::TestWithParam<std::tuple<std::uint8_t, double>> {};
 

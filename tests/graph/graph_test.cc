@@ -77,6 +77,21 @@ TEST(GraphTest, TruncatedSerializationRejected) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(GraphTest, LyingInputCountRejectedBeforeAllocating) {
+  // A valid header, then one node declaring 2^40 inputs in a few bytes.
+  const Bytes valid = SmallGraph().Serialize();
+  BytesWriter w;
+  for (int i = 0; i < 6; ++i) w.WriteU8(valid[i]);  // magic + version
+  w.WriteVarint(1);                                 // node count
+  w.WriteU8(static_cast<std::uint8_t>(OpType::kInput));
+  w.WriteString("x");
+  w.WriteVarint(std::uint64_t{1} << 40);  // n_inputs
+  w.WriteVarint(0);
+  const auto r = Graph::Deserialize(std::move(w).Take());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
+}
+
 TEST(GraphTest, FingerprintDistinguishesGraphs) {
   const Graph a = SmallGraph();
   GraphBuilder b;
