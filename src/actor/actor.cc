@@ -103,15 +103,35 @@ void ActorSystem::Send(ActorId from, ActorId to, std::any payload) {
 
 void ActorSystem::SendAfter(Duration d, ActorId from, ActorId to,
                             std::any payload) {
-  // Capture by value; delivery checks liveness at fire time. The trace
-  // context is captured now — the timer fires on a neutral stack, and the
-  // deferred message is causally the sender's, not the event loop's.
-  context_.PostAfter(
-      d, [this, from, to, p = std::move(payload),
-          ctx = telemetry::CurrentTraceContext()]() mutable {
-        const telemetry::ScopedTraceContext scope(ctx);
-        Send(from, to, std::move(p));
-      });
+  // Park the envelope in a slot; delivery checks liveness at fire time. The
+  // trace context is captured now — the timer fires on a neutral stack, and
+  // the deferred message is causally the sender's, not the event loop's.
+  std::size_t slot;
+  {
+    const std::scoped_lock lock(mu_);
+    if (free_slots_.empty()) {
+      slot = pending_.size();
+      pending_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    pending_[slot] = PendingSend{from, to, std::move(payload),
+                                 telemetry::CurrentTraceContext()};
+  }
+  context_.PostAfter(d, [this, slot] { FirePending(slot); });
+}
+
+void ActorSystem::FirePending(std::size_t slot) {
+  PendingSend p;
+  {
+    const std::scoped_lock lock(mu_);
+    p = std::move(pending_[slot]);
+    pending_[slot].payload.reset();
+    free_slots_.push_back(slot);
+  }
+  const telemetry::ScopedTraceContext scope(p.trace);
+  Send(p.from, p.to, std::move(p.payload));
 }
 
 void ActorSystem::ScheduleDrain(ActorId id, const std::shared_ptr<Entry>& entry) {

@@ -141,7 +141,18 @@ class ActorSystem {
     profiler::ActorTag profile_tag = profiler::ActorTag::kOther;
   };
 
+  // A delayed envelope waiting for its timer. It lives in pending_ so the
+  // queued timer closure captures only (this, slot) and fits the event
+  // node's inline buffer instead of costing a heap cell per timer.
+  struct PendingSend {
+    ActorId from;
+    ActorId to;
+    std::any payload;
+    telemetry::TraceContext trace;
+  };
+
   ActorId Register(std::unique_ptr<Actor> actor, std::string name);
+  void FirePending(std::size_t slot);
   void ScheduleDrain(ActorId id, const std::shared_ptr<Entry>& entry);
   void Drain(const std::shared_ptr<Entry>& entry);
   void Terminate(ActorId id, bool crashed);
@@ -149,6 +160,8 @@ class ActorSystem {
   ExecutionContext& context_;
   mutable std::mutex mu_;
   std::unordered_map<ActorId, std::shared_ptr<Entry>> actors_;
+  std::vector<PendingSend> pending_;      // guarded by mu_
+  std::vector<std::size_t> free_slots_;   // reusable pending_ slots
   std::uint64_t next_actor_id_ = 1;
   std::uint64_t delivered_ = 0;
 };

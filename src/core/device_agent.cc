@@ -5,10 +5,13 @@
 
 #include "src/analytics/flight_dump.h"
 #include "src/common/fixed_point.h"
+#include "src/device/runtime.h"
 #include "src/fedavg/codec.h"
 #include "src/fedavg/compression.h"
 #include "src/profiler/profiler.h"
+#include "src/secagg/client.h"
 #include "src/telemetry/trace.h"
+#include "src/telemetry/trace_context.h"
 
 namespace fl::core {
 namespace {
@@ -42,16 +45,66 @@ std::uint64_t UnmaskBytes(const secagg::UnmaskingResponse& r) {
 
 }  // namespace
 
-DeviceAgent::DeviceAgent(sim::DeviceProfile profile, Services services)
-    : profile_(profile),
-      services_(services),
-      availability_(*services.curve, profile),
-      rng_(profile.seed ^ 0x5851f42d4c957f2dULL),
-      runtime_(profile.os_version, &registry_) {
-  FL_CHECK(services_.queue != nullptr && services_.network != nullptr &&
-           services_.frontend != nullptr && services_.stats != nullptr &&
-           services_.config != nullptr && services_.attestation != nullptr);
+struct DeviceAgent::Session {
+  SessionId id;
+  std::uint64_t generation = 0;
+  SimTime checkin_at;
+  device::PopulationId population{};
+  // Issued (or forged) at session start, presented at check-in; held here
+  // so the handshake callback captures only (this, generation).
+  device::AttestationToken attestation;
+  analytics::SessionTrace trace;
+  // Causal context: seeded at check-in (device + session), completed on
+  // assignment (round + the server's config span as parent). Installed
+  // around every frontend call so server-side spans/flight records link
+  // back to this session.
+  telemetry::TraceContext ctx;
+  std::uint64_t session_span = 0;  // "device_session", open while assigned
+  std::uint64_t train_span = 0;
+  std::uint64_t upload_span = 0;
+  // Populated on assignment. The plan, model and agreed index set are the
+  // round's shared decoded artifacts, not per-device copies.
+  bool assigned = false;
+  RoundId round;
+  ActorId aggregator;
+  std::shared_ptr<const plan::FLPlan> plan;
+  std::shared_ptr<const Checkpoint> global;
+  SimTime participation_deadline;
+  bool training = false;
+  bool trained = false;
+  bool uploading = false;
+  bool reported_ok = false;
+  std::optional<fedavg::ClientUpdateResult> update;
+  fedavg::ClientMetrics metrics;
+  std::size_t examples_used = 0;
+  // Plain-path update codec for this round (from the assignment).
+  protocol::WireCodecConfig codec;
+  // Secure aggregation.
+  bool secagg = false;
+  double secagg_clip = 4.0;
+  std::uint32_t secagg_max_summands = 2;
+  std::uint8_t secagg_ring_bits = 32;
+  std::size_t secagg_vector_length = 0;
+  std::shared_ptr<const std::vector<std::uint32_t>> secagg_agreed;
+  std::optional<secagg::SecAggClient> sa_client;
+  std::optional<std::vector<secagg::ParticipantIndex>> sa_u1;
+  bool sa_masked_sent = false;
+};
+
+DeviceAgent::DeviceAgent(sim::DeviceProfile profile, const Services* services)
+    : services_(services),
+      availability_(*services->curve, profile),
+      rng_(profile.seed ^ 0x5851f42d4c957f2dULL) {
+  FL_CHECK(services_->queue != nullptr && services_->network != nullptr &&
+           services_->frontend != nullptr && services_->stats != nullptr &&
+           services_->config != nullptr && services_->attestation != nullptr);
   eligible_ = availability_.eligible();
+}
+
+DeviceAgent::~DeviceAgent() = default;
+
+bool DeviceAgent::Active(std::uint64_t gen) const {
+  return session_ != nullptr && session_->generation == gen;
 }
 
 void DeviceAgent::Configure(const std::string& population,
@@ -66,18 +119,21 @@ void DeviceAgent::Configure(const std::string& population,
 
 device::InMemoryExampleStore& DeviceAgent::GetOrCreateStore(
     const std::string& name) {
-  auto it = owned_stores_.find(name);
-  if (it == owned_stores_.end()) {
-    auto store = std::make_shared<device::InMemoryExampleStore>(
-        name, device::InMemoryExampleStore::Options{});
-    FL_CHECK(registry_.Register(store).ok());
-    it = owned_stores_.emplace(name, std::move(store)).first;
+  if (const auto found = stores_.Find(name); found.ok()) {
+    auto* store = dynamic_cast<device::InMemoryExampleStore*>(*found);
+    FL_CHECK_MSG(store != nullptr,
+                 "example store '" + name + "' is not an in-memory store");
+    return *store;
   }
-  return *it->second;
+  auto store = std::make_unique<device::InMemoryExampleStore>(
+      name, device::InMemoryExampleStore::Options{});
+  device::InMemoryExampleStore& ref = *store;
+  FL_CHECK(stores_.Register(std::move(store)).ok());
+  return ref;
 }
 
 void DeviceAgent::Start() {
-  services_.stats->OnDeviceStateChange(DeviceState::kIdle, state_);
+  services_->stats->OnDeviceStateChange(DeviceState::kIdle, state_);
   ScheduleNextToggle();
   // First check-in attempt at a jittered offset so fleet start-up is not a
   // thundering herd by construction.
@@ -87,16 +143,16 @@ void DeviceAgent::Start() {
 
 void DeviceAgent::SetState(DeviceState s) {
   if (s == state_) return;
-  services_.stats->OnDeviceStateChange(state_, s);
+  services_->stats->OnDeviceStateChange(state_, s);
   state_ = s;
 }
 
 void DeviceAgent::AddTrace(SessionEvent e) {
   if (!session_) return;
   session_->trace.events.push_back(e);
-  analytics::RecordFlight(services_.queue->now(),
+  analytics::RecordFlight(services_->queue->now(),
                           analytics::JournalSource::kDevice,
-                          analytics::JournalEventForSession(e), profile_.id,
+                          analytics::JournalEventForSession(e), profile().id,
                           session_->id,
                           session_->assigned ? session_->round : RoundId{});
   if (analytics::JournalEnabled()) {
@@ -108,15 +164,15 @@ void DeviceAgent::JournalEvent(analytics::JournalEventKind kind,
                                std::string detail) {
   if (!analytics::JournalEnabled() || !session_) return;
   analytics::AppendJournal(
-      services_.queue->now(), analytics::JournalSource::kDevice, kind,
-      profile_.id, session_->id,
+      services_->queue->now(), analytics::JournalSource::kDevice, kind,
+      profile().id, session_->id,
       session_->assigned ? session_->round : RoundId{}, std::move(detail));
 }
 
 void DeviceAgent::ScheduleNextToggle() {
-  const SimTime t = availability_.NextToggleAfter(services_.queue->now());
+  const SimTime t = availability_.NextToggleAfter(services_->queue->now());
   const bool will_be = availability_.eligible();
-  services_.queue->At(t, [this, will_be] { OnToggle(will_be); });
+  services_->queue->At(t, [this, will_be] { OnToggle(will_be); });
 }
 
 void DeviceAgent::OnToggle(bool now_eligible) {
@@ -132,15 +188,15 @@ void DeviceAgent::OnToggle(bool now_eligible) {
 void DeviceAgent::ScheduleCheckinPoll(Duration delay) {
   if (poll_scheduled_) return;
   poll_scheduled_ = true;
-  services_.queue->After(delay, [this] {
+  services_->queue->After(delay, [this] {
     poll_scheduled_ = false;
     TryCheckin();
   });
 }
 
 void DeviceAgent::TryCheckin() {
-  if (!eligible_ || session_.has_value()) return;
-  const SimTime now = services_.queue->now();
+  if (!eligible_ || session_ != nullptr) return;
+  const SimTime now = services_->queue->now();
   const auto population = scheduler_.NextSession(now);
   if (!population.has_value()) {
     const auto next = scheduler_.NextRunnableAt(now);
@@ -157,18 +213,17 @@ void DeviceAgent::TryCheckin() {
 
 void DeviceAgent::BeginSession(device::PopulationId population) {
   ++sessions_started_;
-  ++session_counter_;
   const std::uint64_t gen = ++generation_;
-  Session s;
-  s.id = SessionId{(profile_.id.value << 20) | session_counter_};
+  session_ = std::make_unique<Session>();
+  Session& s = *session_;
+  s.id = SessionId{(profile().id.value << 20) | sessions_started_};
   s.generation = gen;
-  s.checkin_at = services_.queue->now();
+  s.checkin_at = services_->queue->now();
   s.population = population;
   s.trace.session = s.id;
-  s.trace.device = profile_.id;
-  s.ctx = telemetry::TraceContext{0, s.id.value, profile_.id.value, 0};
-  session_ = std::move(s);
-  scheduler_.OnSessionStarted(population, services_.queue->now());
+  s.trace.device = profile().id;
+  s.ctx = telemetry::TraceContext{0, s.id.value, profile().id.value, 0};
+  scheduler_.OnSessionStarted(population, services_->queue->now());
   SetState(DeviceState::kAttesting);
 
   // Attestation + connection handshake, then check in (Sec. 3 Job
@@ -176,34 +231,34 @@ void DeviceAgent::BeginSession(device::PopulationId population) {
   // is ready to run tasks for the given FL population").
   const std::uint64_t nonce = rng_.Next();
   session_->attestation =
-      profile_.genuine
-          ? services_.attestation->Issue(profile_.id, nonce)
-          : services_.attestation->Forge(profile_.id, nonce, rng_.Next());
+      profile().genuine
+          ? services_->attestation->Issue(profile().id, nonce)
+          : services_->attestation->Forge(profile().id, nonce, rng_.Next());
 
-  const Duration handshake = services_.network->SampleRtt() * 2;
-  services_.queue->After(handshake, [this, gen] {
+  const Duration handshake = services_->network->SampleRtt() * 2;
+  services_->queue->After(handshake, [this, gen] {
     if (!Active(gen)) return;
     AddTrace(SessionEvent::kCheckin);
     const profiler::ScopedPhase profile_scope(profiler::Phase::kCheckin);
     server::CheckInRequest req;
-    req.device = profile_.id;
+    req.device = profile().id;
     req.session = session_->id;
-    req.runtime_version = profile_.os_version;
+    req.runtime_version = profile().os_version;
     req.attestation = session_->attestation;
     // Selector-side records for this check-in carry the device context.
     const telemetry::ScopedTraceContext scope(session_->ctx);
-    const bool ok = services_.frontend->CheckIn(req, MakeLink(gen));
+    const bool ok = services_->frontend->CheckIn(req, MakeLink(gen));
     if (!ok) {
       // Attestation rejected (or no selectors): long back-off.
       scheduler_.SetEarliestCheckin(session_->population,
-                                    services_.queue->now() + Hours(6));
+                                    services_->queue->now() + Hours(6));
       EndSession(false);
       return;
     }
     SetState(DeviceState::kWaiting);
     // Give-up timer: a crashed Selector means silence, not rejection
     // (Sec. 4.4: "only the devices connected to that actor will be lost").
-    services_.queue->After(services_.config->device_give_up, [this, gen] {
+    services_->queue->After(services_->config->device_give_up, [this, gen] {
       if (!Active(gen) || session_->assigned) return;
       EndSession(false);
     });
@@ -212,19 +267,19 @@ void DeviceAgent::BeginSession(device::PopulationId population) {
 
 server::DeviceLink DeviceAgent::MakeLink(std::uint64_t gen) {
   server::DeviceLink link;
-  link.device = profile_.id;
+  link.device = profile().id;
   link.session = session_->id;
-  link.runtime_version = profile_.os_version;
-  link.connected_at = services_.queue->now();
+  link.runtime_version = profile().os_version;
+  link.connected_at = services_->queue->now();
   link.assign = [this, gen](const server::TaskAssignment& a) {
     if (!Active(gen)) return;
     // Configuration download: plan + global model over the device's radio.
     const std::uint64_t bytes = a.plan_bytes->size() + a.model_bytes->size();
-    const sim::TransferOutcome t = services_.network->Transfer(
-        profile_, sim::Direction::kDownload, bytes);
+    const sim::TransferOutcome t = services_->network->Transfer(
+        profile(), sim::Direction::kDownload, bytes);
     server::TaskAssignment copy = a;
     const bool ok = t.success && !t.corrupted;
-    services_.queue->After(t.duration, [this, gen, copy, ok] {
+    services_->queue->After(t.duration, [this, gen, copy, ok] {
       if (!Active(gen)) return;
       if (!ok) {
         FailSession("configuration download failed");
@@ -234,39 +289,39 @@ server::DeviceLink DeviceAgent::MakeLink(std::uint64_t gen) {
     });
   };
   link.reject = [this, gen](const server::RejectionNotice& n) {
-    services_.queue->After(services_.network->SampleRtt(),
+    services_->queue->After(services_->network->SampleRtt(),
                            [this, gen, n] { OnRejected(gen, n); });
   };
   link.report_ack = [this, gen](const server::ReportAck& ack) {
-    services_.queue->After(services_.network->SampleRtt(),
+    services_->queue->After(services_->network->SampleRtt(),
                            [this, gen, ack] { OnReportAck(gen, ack); });
   };
   link.secagg_directory = [this, gen](const server::SecAggDirectoryMsg& m) {
-    const sim::TransferOutcome t = services_.network->Transfer(
-        profile_, sim::Direction::kDownload, 24 * m.directory.size() + 16);
+    const sim::TransferOutcome t = services_->network->Transfer(
+        profile(), sim::Direction::kDownload, 24 * m.directory.size() + 16);
     if (!t.success) return;  // device misses the directory; drops out
-    services_.queue->After(t.duration,
+    services_->queue->After(t.duration,
                            [this, gen, m] { OnSecAggDirectory(gen, m); });
   };
   link.secagg_shares = [this, gen](const server::SecAggSharesMsg& m) {
     std::uint64_t bytes = 16;
     for (const auto& s : m.shares) bytes += s.ciphertext.size() + 12;
-    const sim::TransferOutcome t = services_.network->Transfer(
-        profile_, sim::Direction::kDownload, bytes);
+    const sim::TransferOutcome t = services_->network->Transfer(
+        profile(), sim::Direction::kDownload, bytes);
     if (!t.success) return;
-    services_.queue->After(t.duration,
+    services_->queue->After(t.duration,
                            [this, gen, m] { OnSecAggShares(gen, m); });
   };
   link.secagg_unmask = [this, gen](const server::SecAggUnmaskMsg& m) {
-    const sim::TransferOutcome t = services_.network->Transfer(
-        profile_, sim::Direction::kDownload,
+    const sim::TransferOutcome t = services_->network->Transfer(
+        profile(), sim::Direction::kDownload,
         16 + 8 * (m.request.dropped.size() + m.request.survivors.size()));
     if (!t.success) return;
-    services_.queue->After(t.duration,
+    services_->queue->After(t.duration,
                            [this, gen, m] { OnSecAggUnmask(gen, m); });
   };
   link.closed = [this, gen](const server::ConnectionClosed&) {
-    services_.queue->After(services_.network->SampleRtt(),
+    services_->queue->After(services_->network->SampleRtt(),
                            [this, gen] { OnClosed(gen); });
   };
   return link;
@@ -303,21 +358,21 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
   if (telemetry::Enabled()) {
     const telemetry::ScopedTraceContext scope(s.ctx);
     s.session_span = telemetry::Tracer::Global().Begin(
-        "device_session", services_.queue->now());
+        "device_session", services_->queue->now());
     auto& tracer = telemetry::Tracer::Global();
-    tracer.AddAttr(s.session_span, "device", std::to_string(profile_.id.value));
+    tracer.AddAttr(s.session_span, "device", std::to_string(profile().id.value));
     tracer.AddAttr(s.session_span, "round", std::to_string(s.round.value));
   }
   if (s.session_span != 0) s.ctx.parent_span = s.session_span;
 
-  auto plan = plan::FLPlan::Deserialize(*assignment.plan_bytes);
-  auto global = Checkpoint::Deserialize(*assignment.model_bytes);
-  if (!plan.ok() || !global.ok()) {
-    FailSession("plan/model deserialization failed");
+  // The round decoded the plan and model once for its whole cohort; the
+  // serialized bytes above are what crossed the (simulated) radio.
+  if (assignment.plan == nullptr || assignment.model == nullptr) {
+    FailSession("assignment carries no decoded plan/model");
     return;
   }
-  s.plan = std::move(plan).value();
-  s.global = std::move(global).value();
+  s.plan = assignment.plan;
+  s.global = assignment.model;
 
   s.codec = assignment.codec;
   if (assignment.secagg_enabled) {
@@ -325,8 +380,8 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
     s.secagg_clip = assignment.secagg_clip;
     s.secagg_max_summands = assignment.secagg_max_summands;
     s.secagg_ring_bits = assignment.secagg_ring_bits;
-    s.secagg_index_seed = assignment.secagg_index_seed;
     s.secagg_vector_length = assignment.secagg_vector_length;
+    s.secagg_agreed = assignment.secagg_agreed_indices;
     s.sa_client.emplace(assignment.secagg_index, assignment.secagg_threshold,
                         assignment.secagg_vector_length, RandomKey(rng_),
                         assignment.secagg_ring_bits);
@@ -334,19 +389,19 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
     const secagg::KeyAdvertisement adv = s.sa_client->AdvertiseKeys();
     SendSecAggUpload(gen, AdvertiseBytes(), [this, adv] {
       server::SecAggAdvertiseMsg msg;
-      msg.device = profile_.id;
+      msg.device = profile().id;
       msg.round = session_->round;
       msg.advertisement = adv;
       msg.upload_wire_bytes = AdvertiseBytes();
-      services_.frontend->SecAggAdvertise(session_->aggregator, msg);
+      services_->frontend->SecAggAdvertise(session_->aggregator, msg);
     });
   }
 
   // Device-side participation cap.
   const Duration until_deadline = s.participation_deadline -
-                                  services_.queue->now();
+                                  services_->queue->now();
   if (until_deadline.millis > 0) {
-    services_.queue->After(until_deadline, [this, gen] {
+    services_->queue->After(until_deadline, [this, gen] {
       if (!Active(gen)) return;
       if (session_->reported_ok) {
         // Already accepted; a Secure Aggregation session may be lingering
@@ -354,8 +409,8 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
         return;
       }
       // Capped by the server (Fig. 8); abandon quietly.
-      services_.stats->OnDeviceDrop(services_.queue->now(), session_->round,
-                                    profile_.id);
+      services_->stats->OnDeviceDrop(services_->queue->now(), session_->round,
+                                    profile().id);
       EndSession(false);
     });
   }
@@ -370,14 +425,15 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
   if (telemetry::Enabled()) {
     const telemetry::ScopedTraceContext scope(s.ctx);
     s.train_span = telemetry::Tracer::Global().Begin("device_train",
-                                                     services_.queue->now());
+                                                     services_->queue->now());
   }
 
   // The computation itself is pure; its wall-clock cost is simulated.
   const profiler::ScopedPhase profile_scope(profiler::Phase::kTraining,
                                             s.round.value);
-  auto result = runtime_.ExecutePlan(*s.plan, *s.global,
-                                     services_.queue->now(), rng_);
+  const device::FlRuntime runtime(profile().os_version, &stores_);
+  auto result = runtime.ExecutePlan(*s.plan, *s.global,
+                                    services_->queue->now(), rng_);
   if (!result.ok()) {
     // E.g. the example store no longer satisfies the plan's selection
     // criteria — a model-issue '*' right after '[' (Sec. 5's "-v[*").
@@ -390,8 +446,8 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
     s.update = std::move(result->update);
   }
   const Duration compute = device::EstimateComputeDuration(
-      *s.plan, s.examples_used, profile_);
-  services_.queue->After(compute, [this, gen] {
+      *s.plan, s.examples_used, profile());
+  services_->queue->After(compute, [this, gen] {
     if (!Active(gen)) return;
     FinishTraining(gen);
   });
@@ -403,7 +459,7 @@ void DeviceAgent::FinishTraining(std::uint64_t gen) {
   s.trained = true;
   AddTrace(SessionEvent::kTrainingCompleted);
   if (s.train_span != 0) {
-    telemetry::Tracer::Global().End(s.train_span, services_.queue->now());
+    telemetry::Tracer::Global().End(s.train_span, services_->queue->now());
     s.train_span = 0;
   }
   if (s.secagg) {
@@ -420,13 +476,13 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   if (telemetry::Enabled()) {
     const telemetry::ScopedTraceContext scope(s.ctx);
     s.upload_span = telemetry::Tracer::Global().Begin("device_upload",
-                                                      services_.queue->now());
+                                                      services_->queue->now());
   }
 
   const profiler::ScopedPhase profile_scope(profiler::Phase::kReporting,
                                             s.round.value);
   server::DeviceReport report;
-  report.device = profile_.id;
+  report.device = profile().id;
   report.session = s.id;
   report.round = s.round;
   report.metrics = s.metrics;
@@ -434,7 +490,7 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   std::uint64_t wire_bytes = 256;  // metrics-only floor (evaluation tasks)
   if (s.update.has_value()) {
     report.weight = s.update->weight;
-    const auto& compression = services_.config->upload_compression;
+    const auto& compression = services_->config->upload_compression;
     if (s.codec.enabled()) {
       // Pluggable codec path: the encoded payload itself travels; the
       // Aggregator decodes and accumulates (no server-side reconstruction
@@ -466,13 +522,13 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   }
   report.upload_wire_bytes = wire_bytes;
 
-  const sim::TransferOutcome t = services_.network->Transfer(
-      profile_, sim::Direction::kUpload, wire_bytes);
+  const sim::TransferOutcome t = services_->network->Transfer(
+      profile(), sim::Direction::kUpload, wire_bytes);
   if (!t.success) {
-    services_.queue->After(t.duration, [this, gen, t] {
+    services_->queue->After(t.duration, [this, gen, t] {
       if (!Active(gen)) return;
       // Wasted bytes still hit the server NIC.
-      services_.stats->OnTraffic(services_.queue->now(), 0, t.bytes_on_wire);
+      services_->stats->OnTraffic(services_->queue->now(), 0, t.bytes_on_wire);
       FailSession("upload failed");
     });
     return;
@@ -480,14 +536,14 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   // Move the report into the event: the serialized update (the dominant
   // per-device buffer) travels device → event node → aggregator without a
   // single copy.
-  services_.queue->After(
+  services_->queue->After(
       t.duration, [this, gen, report = std::move(report)]() mutable {
     if (!Active(gen)) return;
     // Aggregator-side accept/reject records link back to this session.
     const telemetry::ScopedTraceContext scope(session_->ctx);
-    services_.frontend->Report(session_->aggregator, std::move(report));
+    services_->frontend->Report(session_->aggregator, std::move(report));
     // Ack timeout: a dead Aggregator means silence.
-    services_.queue->After(services_.config->ack_timeout, [this, gen] {
+    services_->queue->After(services_->config->ack_timeout, [this, gen] {
       if (!Active(gen)) return;
       FailSession("no ack from aggregator");
     });
@@ -502,7 +558,7 @@ void DeviceAgent::OnReportAck(std::uint64_t gen, const server::ReportAck& ack) {
   AddTrace(ack.accepted ? SessionEvent::kUploadCompleted
                         : SessionEvent::kUploadRejected);
   if (s.upload_span != 0) {
-    telemetry::Tracer::Global().End(s.upload_span, services_.queue->now());
+    telemetry::Tracer::Global().End(s.upload_span, services_->queue->now());
     s.upload_span = 0;
   }
   // Pace steering: the server tells reporting devices when to come back
@@ -513,7 +569,7 @@ void DeviceAgent::OnReportAck(std::uint64_t gen, const server::ReportAck& ack) {
 
   if (s.secagg && ack.accepted) {
     // Stay online for the Finalization round; end after a grace window.
-    services_.queue->After(services_.config->ack_timeout * 2, [this, gen] {
+    services_->queue->After(services_->config->ack_timeout * 2, [this, gen] {
       if (!Active(gen)) return;
       EndSession(true);
     });
@@ -535,13 +591,13 @@ void DeviceAgent::OnClosed(std::uint64_t gen) {
 void DeviceAgent::SendSecAggUpload(std::uint64_t gen, std::uint64_t bytes,
                                    std::function<void()> send) {
   const sim::TransferOutcome t =
-      services_.network->Transfer(profile_, sim::Direction::kUpload, bytes);
+      services_->network->Transfer(profile(), sim::Direction::kUpload, bytes);
   if (!t.success) {
     // Lost control message: this device silently drops out of the protocol
     // round; SecAgg's share recovery handles it.
     return;
   }
-  services_.queue->After(t.duration, [this, gen, send = std::move(send)] {
+  services_->queue->After(t.duration, [this, gen, send = std::move(send)] {
     if (!Active(gen)) return;
     // SecAgg control messages carry the session context to the aggregator.
     const telemetry::ScopedTraceContext scope(session_->ctx);
@@ -560,11 +616,11 @@ void DeviceAgent::OnSecAggDirectory(std::uint64_t gen,
   SendSecAggUpload(gen, bytes, [this, msg = std::move(shares).value(),
                                 bytes]() mutable {
     server::SecAggShareKeysMsg out;
-    out.device = profile_.id;
+    out.device = profile().id;
     out.round = session_->round;
     out.message = std::move(msg);
     out.upload_wire_bytes = bytes;
-    services_.frontend->SecAggShareKeys(session_->aggregator, out);
+    services_->frontend->SecAggShareKeys(session_->aggregator, out);
   });
 }
 
@@ -599,8 +655,9 @@ void DeviceAgent::MaybeSendMaskedInput(std::uint64_t gen) {
                         s.secagg_ring_bits);
   std::vector<std::uint32_t> words(keep + 1);
   if (keep < flat.size()) {
-    const std::vector<std::uint32_t> agreed =
-        fedavg::AgreedIndexSet(s.secagg_index_seed, flat.size(), keep);
+    // The cohort's agreed subset, derived once by the Aggregator.
+    FL_CHECK(s.secagg_agreed != nullptr && s.secagg_agreed->size() == keep);
+    const std::vector<std::uint32_t>& agreed = *s.secagg_agreed;
     for (std::size_t i = 0; i < keep; ++i) {
       words[i] = codec.Encode(flat[agreed[i]]);
     }
@@ -621,15 +678,15 @@ void DeviceAgent::MaybeSendMaskedInput(std::uint64_t gen) {
   SendSecAggUpload(gen, bytes, [this, input = std::move(masked).value(),
                                 bytes]() mutable {
     server::SecAggMaskedInputMsg out;
-    out.device = profile_.id;
+    out.device = profile().id;
     out.round = session_->round;
     out.input = std::move(input);
     out.metrics = session_->metrics;
     out.upload_wire_bytes = bytes;
-    services_.frontend->SecAggMaskedInput(session_->aggregator, out);
+    services_->frontend->SecAggMaskedInput(session_->aggregator, out);
     // Ack timeout as in the simple path.
     const std::uint64_t gen2 = session_->generation;
-    services_.queue->After(services_.config->ack_timeout, [this, gen2] {
+    services_->queue->After(services_->config->ack_timeout, [this, gen2] {
       if (!Active(gen2)) return;
       if (session_->uploading) FailSession("no secagg ack");
     });
@@ -647,11 +704,11 @@ void DeviceAgent::OnSecAggUnmask(std::uint64_t gen,
   SendSecAggUpload(gen, bytes, [this, gen, r = std::move(resp).value(),
                                 bytes]() mutable {
     server::SecAggUnmaskResponseMsg out;
-    out.device = profile_.id;
+    out.device = profile().id;
     out.round = session_->round;
     out.response = std::move(r);
     out.upload_wire_bytes = bytes;
-    services_.frontend->SecAggUnmaskResponse(session_->aggregator, out);
+    services_->frontend->SecAggUnmaskResponse(session_->aggregator, out);
     EndSession(true);
   });
 }
@@ -667,8 +724,8 @@ void DeviceAgent::Interrupt() {
   // are no longer met").
   if (session_->assigned) {
     AddTrace(SessionEvent::kInterrupted);
-    services_.stats->OnDeviceDrop(services_.queue->now(), session_->round,
-                                  profile_.id);
+    services_->stats->OnDeviceDrop(services_->queue->now(), session_->round,
+                                  profile().id);
   }
   EndSession(false);
 }
@@ -678,8 +735,8 @@ void DeviceAgent::FailSession(const std::string& why) {
   if (!session_) return;
   AddTrace(SessionEvent::kError);
   if (session_->assigned) {
-    services_.stats->OnDeviceDrop(services_.queue->now(), session_->round,
-                                  profile_.id);
+    services_->stats->OnDeviceDrop(services_->queue->now(), session_->round,
+                                  profile().id);
   }
   EndSession(false);
 }
@@ -688,8 +745,8 @@ void DeviceAgent::EndSession(bool completed) {
   if (!session_) return;
   if (completed) ++sessions_completed_;
   analytics::RecordFlight(
-      services_.queue->now(), analytics::JournalSource::kDevice,
-      analytics::JournalEventKind::kSessionEnd, profile_.id, session_->id,
+      services_->queue->now(), analytics::JournalSource::kDevice,
+      analytics::JournalEventKind::kSessionEnd, profile().id, session_->id,
       session_->assigned ? session_->round : RoundId{},
       completed ? 1 : 0);
   if (analytics::JournalEnabled()) {
@@ -698,16 +755,16 @@ void DeviceAgent::EndSession(bool completed) {
   }
   // Close any spans the session still holds (abandon/interrupt paths).
   auto& tracer = telemetry::Tracer::Global();
-  const SimTime now = services_.queue->now();
+  const SimTime now = services_->queue->now();
   if (session_->train_span != 0) tracer.End(session_->train_span, now);
   if (session_->upload_span != 0) tracer.End(session_->upload_span, now);
   if (session_->session_span != 0) {
     tracer.AddAttr(session_->session_span, "completed", completed ? "1" : "0");
     tracer.End(session_->session_span, now);
   }
-  services_.stats->OnSessionTrace(session_->trace);
+  services_->stats->OnSessionTrace(session_->trace);
   if (session_->assigned) {
-    services_.stats->OnParticipationTime(services_.queue->now() -
+    services_->stats->OnParticipationTime(services_->queue->now() -
                                          session_->checkin_at);
   }
   session_.reset();

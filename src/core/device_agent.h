@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "src/analytics/events.h"
 #include "src/analytics/journal.h"
@@ -14,18 +13,17 @@
 #include "src/core/fleet_stats.h"
 #include "src/device/attestation.h"
 #include "src/device/example_store.h"
-#include "src/device/runtime.h"
 #include "src/device/scheduler.h"
-#include "src/secagg/client.h"
 #include "src/server/frontend.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/network.h"
-#include "src/telemetry/trace_context.h"
 
 namespace fl::core {
 
 class DeviceAgent {
  public:
+  // Fleet-wide collaborators, shared by every agent: the embedder (FLSystem)
+  // owns one instance and each agent keeps a pointer to it.
   struct Services {
     sim::EventQueue* queue = nullptr;
     sim::NetworkModel* network = nullptr;
@@ -36,7 +34,9 @@ class DeviceAgent {
     const FLSystemConfig* config = nullptr;
   };
 
-  DeviceAgent(sim::DeviceProfile profile, Services services);
+  // `services` must outlive the agent.
+  DeviceAgent(sim::DeviceProfile profile, const Services* services);
+  ~DeviceAgent();
 
   // Registers a population + its example store on this device
   // ("Programmatic Configuration", Sec. 3).
@@ -44,61 +44,25 @@ class DeviceAgent {
                  Duration min_checkin_interval);
 
   device::InMemoryExampleStore& GetOrCreateStore(const std::string& name);
-  device::ExampleStoreRegistry& stores() { return registry_; }
-  const sim::DeviceProfile& profile() const { return profile_; }
+  device::ExampleStoreRegistry& stores() { return stores_; }
+  const sim::DeviceProfile& profile() const {
+    return availability_.profile();
+  }
   Rng& rng() { return rng_; }
   bool eligible() const { return eligible_; }
   std::uint64_t sessions_started() const { return sessions_started_; }
   std::uint64_t sessions_completed() const { return sessions_completed_; }
+  // True from check-in until the session ends; an idle agent holds no
+  // session state.
+  bool in_session() const { return session_ != nullptr; }
 
   // Arms the agent: schedules eligibility toggles and check-in attempts.
   void Start();
 
  private:
-  struct Session {
-    SessionId id;
-    std::uint64_t generation = 0;
-    SimTime checkin_at;
-    device::PopulationId population{};
-    // Issued (or forged) at session start, presented at check-in; held here
-    // so the handshake callback captures only (this, generation).
-    device::AttestationToken attestation;
-    analytics::SessionTrace trace;
-    // Causal context: seeded at check-in (device + session), completed on
-    // assignment (round + the server's config span as parent). Installed
-    // around every frontend call so server-side spans/flight records link
-    // back to this session.
-    telemetry::TraceContext ctx;
-    std::uint64_t session_span = 0;  // "device_session", open while assigned
-    std::uint64_t train_span = 0;
-    std::uint64_t upload_span = 0;
-    // Populated on assignment.
-    bool assigned = false;
-    RoundId round;
-    ActorId aggregator;
-    std::optional<plan::FLPlan> plan;
-    std::optional<Checkpoint> global;
-    SimTime participation_deadline;
-    bool training = false;
-    bool trained = false;
-    bool uploading = false;
-    bool reported_ok = false;
-    std::optional<fedavg::ClientUpdateResult> update;
-    fedavg::ClientMetrics metrics;
-    std::size_t examples_used = 0;
-    // Plain-path update codec for this round (from the assignment).
-    protocol::WireCodecConfig codec;
-    // Secure aggregation.
-    bool secagg = false;
-    double secagg_clip = 4.0;
-    std::uint32_t secagg_max_summands = 2;
-    std::uint8_t secagg_ring_bits = 32;
-    std::uint64_t secagg_index_seed = 0;
-    std::size_t secagg_vector_length = 0;
-    std::optional<secagg::SecAggClient> sa_client;
-    std::optional<std::vector<secagg::ParticipantIndex>> sa_u1;
-    bool sa_masked_sent = false;
-  };
+  // Everything a running session needs; allocated at check-in and freed
+  // when the session ends, so an idle device carries only a null pointer.
+  struct Session;
 
   // --- lifecycle ---
   void ScheduleNextToggle();
@@ -135,29 +99,23 @@ class DeviceAgent {
   void Interrupt();                // eligibility lost mid-session
   void FailSession(const std::string& why);  // '*' error path
   void EndSession(bool completed);
-  bool Active(std::uint64_t gen) const {
-    return session_.has_value() && session_->generation == gen;
-  }
+  bool Active(std::uint64_t gen) const;
 
-  sim::DeviceProfile profile_;
-  Services services_;
-  sim::AvailabilityProcess availability_;
+  // The always-resident part: what an idle device needs to decide when to
+  // check in next.
+  const Services* services_;
+  sim::AvailabilityProcess availability_;  // holds the device's profile
   Rng rng_;
   bool eligible_ = false;
+  bool poll_scheduled_ = false;
   analytics::DeviceState state_ = analytics::DeviceState::kIdle;
-
-  device::ExampleStoreRegistry registry_;
-  std::map<std::string, std::shared_ptr<device::InMemoryExampleStore>>
-      owned_stores_;
-  device::MultiTenantScheduler scheduler_;
-  device::FlRuntime runtime_;
-
-  std::optional<Session> session_;
   std::uint64_t generation_ = 0;
-  std::uint64_t session_counter_ = 0;
   std::uint64_t sessions_started_ = 0;
   std::uint64_t sessions_completed_ = 0;
-  bool poll_scheduled_ = false;
+  device::MultiTenantScheduler scheduler_;
+  device::ExampleStoreRegistry stores_;
+
+  std::unique_ptr<Session> session_;
 };
 
 }  // namespace fl::core

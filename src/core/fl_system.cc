@@ -268,16 +268,16 @@ void FLSystem::Start() {
   agents_.reserve(profiles.size());
   const std::string store_name =
       tasks_.front().plans.plans().begin()->second.device.selector.store_name;
+  device_services_ = DeviceAgent::Services{
+      .queue = &queue_,
+      .network = &network_,
+      .curve = &curve_,
+      .frontend = frontend_.get(),
+      .attestation = &attestation_,
+      .stats = stats_.get(),
+      .config = &config_};
   for (const sim::DeviceProfile& profile : profiles) {
-    DeviceAgent::Services services;
-    services.queue = &queue_;
-    services.network = &network_;
-    services.curve = &curve_;
-    services.frontend = frontend_.get();
-    services.attestation = &attestation_;
-    services.stats = stats_.get();
-    services.config = &config_;
-    auto agent = std::make_unique<DeviceAgent>(profile, services);
+    auto agent = std::make_unique<DeviceAgent>(profile, &device_services_);
     agent->Configure(config_.population_name, store_name,
                      config_.device_checkin_cadence);
     if (provisioner_) {

@@ -150,6 +150,7 @@ class FLSystem {
   ActorId coordinator_;
   std::vector<ActorId> selector_ids_;
 
+  DeviceAgent::Services device_services_;  // shared by every agent
   std::vector<std::unique_ptr<DeviceAgent>> agents_;
   DataProvisioner provisioner_;
   bool started_ = false;

@@ -5,8 +5,7 @@
 // a pre-designated expiration time."
 #pragma once
 
-#include <deque>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +34,14 @@ class ExampleStore {
 
 // Bounded in-memory store with automatic expiration — the stand-in for the
 // paper's example SQLite store.
+//
+// Layout: every example's features live in one contiguous float buffer; a
+// 16-byte entry per example holds its offset into that buffer, its label
+// and its timestamp (an example's feature count is the distance to the next
+// entry's offset). Eviction and expiry advance a head index over both
+// arrays; the dead prefix is compacted away once it outgrows the live part,
+// so removal stays amortized O(1) and an idle store costs two allocations
+// regardless of how many examples it holds.
 class InMemoryExampleStore final : public ExampleStore {
  public:
   struct Options {
@@ -57,24 +64,46 @@ class InMemoryExampleStore final : public ExampleStore {
   Result<std::vector<data::Example>> Query(
       const plan::ExampleSelector& selector, SimTime now) const override;
 
-  std::size_t size() const override { return examples_.size(); }
+  std::size_t size() const override { return entries_.size() - head_; }
+
+  // Narrows a feature-buffer position to the entry's 32-bit offset; fails an
+  // FL_CHECK rather than wrapping when the buffer outgrows it.
+  static std::uint32_t CheckedOffset(std::size_t position);
 
  private:
+  struct Entry {
+    std::uint32_t offset;  // first feature in features_
+    float label;
+    SimTime timestamp;
+  };
+  static_assert(sizeof(Entry) == 16);
+
+  std::size_t EndOffset(std::size_t i) const {
+    return i + 1 < entries_.size() ? entries_[i + 1].offset : features_.size();
+  }
+  void Append(const data::Example& example);
+  void PopOldest(std::size_t n);  // drops the n oldest live entries
+
   std::string name_;
   Options options_;
-  std::deque<data::Example> examples_;  // ordered by insertion (≈ time)
+  std::vector<Entry> entries_;   // ordered by insertion (≈ time)
+  std::vector<float> features_;  // features of entries_, back to back
+  std::size_t head_ = 0;         // entries_[0, head_) are dead
 };
 
-// Per-app registry mapping store names to stores ("registering its example
-// stores", Sec. 3).
+// Per-app registry of a device's example stores ("registering its example
+// stores", Sec. 3). It owns them; a device registers a handful at most, so
+// lookup is a linear scan over one small vector.
 class ExampleStoreRegistry {
  public:
-  Status Register(std::shared_ptr<ExampleStore> store);
+  Status Register(std::unique_ptr<ExampleStore> store);
   Result<ExampleStore*> Find(const std::string& name) const;
   std::size_t count() const { return stores_.size(); }
 
  private:
-  std::map<std::string, std::shared_ptr<ExampleStore>> stores_;
+  ExampleStore* Get(const std::string& name) const;  // nullptr if absent
+
+  std::vector<std::unique_ptr<ExampleStore>> stores_;
 };
 
 }  // namespace fl::device

@@ -109,6 +109,13 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
         1;
     secagg_index_seed_ =
         0x5eca66ull ^ (init_.round.value * 0x9E3779B97F4A7C15ull);
+    // Derive the agreed subset once; every cohort member masks, and
+    // FinalizeSecAgg decodes, against this one copy.
+    if (secagg_vector_length_ - 1 < secagg_total_coords_) {
+      secagg_agreed_ = std::make_shared<const std::vector<std::uint32_t>>(
+          fedavg::AgreedIndexSet(secagg_index_seed_, secagg_total_coords_,
+                                 secagg_vector_length_ - 1));
+    }
     const std::size_t m = msg.links.size();
     secagg_threshold_ = std::max<std::size_t>(
         2, static_cast<std::size_t>(
@@ -133,11 +140,11 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     // Configuration phase (Sec. 2.2): plan + checkpoint to each device,
     // picking the plan version the device's runtime supports.
     const auto plan_it = [&]() {
-      auto it = init_.plan_bytes->upper_bound(link.runtime_version);
-      return it == init_.plan_bytes->begin() ? init_.plan_bytes->end()
-                                             : std::prev(it);
+      auto it = init_.encoded_plans->upper_bound(link.runtime_version);
+      return it == init_.encoded_plans->begin() ? init_.encoded_plans->end()
+                                                : std::prev(it);
     }();
-    if (plan_it == init_.plan_bytes->end()) {
+    if (plan_it == init_.encoded_plans->end()) {
       // Device too old for every versioned plan: turn it away.
       analytics::RecordFlight(
           Now(), analytics::JournalSource::kAggregator,
@@ -164,8 +171,10 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     assignment.round = init_.round;
     assignment.task = init_.task;
     assignment.aggregator = id();
-    assignment.plan_bytes = plan_it->second;
+    assignment.plan_bytes = plan_it->second.bytes;
+    assignment.plan = plan_it->second.plan;
     assignment.model_bytes = init_.model_bytes;
+    assignment.model = init_.global_model;
     assignment.participation_deadline =
         Now() + init_.config.device_participation_cap;
     if (secure) {
@@ -180,6 +189,7 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
           std::max<std::size_t>(init_.config.devices_per_aggregator, 2));
       assignment.secagg_ring_bits = init_.config.secagg.ring_bits;
       assignment.secagg_index_seed = secagg_index_seed_;
+      assignment.secagg_agreed_indices = secagg_agreed_;
     } else {
       // Plain-path update codec: every cohort member encodes with the same
       // per-round stages so the Aggregator can decode uniformly.
@@ -187,7 +197,7 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     }
     devices_.emplace(link.device, std::move(entry));
     init_.context->stats->OnTraffic(
-        Now(), plan_it->second->size() + init_.model_bytes->size(), 0);
+        Now(), plan_it->second.bytes->size() + init_.model_bytes->size(), 0);
     link.assign(assignment);
   }
 }
@@ -537,8 +547,7 @@ void AggregatorActor::FinalizeSecAgg() {
     // Cohort-agreed sparsification: the masked vector carried only the
     // agreed coordinate subset; rescale by total/keep so the sparse sum is
     // an unbiased estimate of the dense one.
-    const auto agreed = fedavg::AgreedIndexSet(
-        secagg_index_seed_, secagg_total_coords_, keep);
+    const std::vector<std::uint32_t>& agreed = *secagg_agreed_;
     const float rescale = static_cast<float>(secagg_total_coords_) /
                           static_cast<float>(keep);
     for (std::size_t i = 0; i < keep; ++i) {

@@ -29,7 +29,7 @@ class AggregatorActor final : public actor::Actor {
     plan::AggregationOp aggregation_op = plan::AggregationOp::kWeightedFedAvg;
     std::shared_ptr<const Checkpoint> global_model;  // schema + params
     std::shared_ptr<const Bytes> model_bytes;
-    std::shared_ptr<const PlanBytesByVersion> plan_bytes;
+    std::shared_ptr<const PlansByVersion> encoded_plans;
     ServerContext* context = nullptr;
   };
 
@@ -92,6 +92,8 @@ class AggregatorActor final : public actor::Actor {
   std::size_t secagg_vector_length_ = 0;  // kept coordinates + weight word
   std::size_t secagg_total_coords_ = 0;   // full flat update length
   std::uint64_t secagg_index_seed_ = 0;   // cohort-agreed sparsity subset
+  // AgreedIndexSet(seed, total, keep); null when nothing is dropped.
+  std::shared_ptr<const std::vector<std::uint32_t>> secagg_agreed_;
   std::size_t secagg_threshold_ = 0;
   int secagg_phase_ = 0;  // 0=advertise 1=share 2=commit 3=unmask
   // Early phase advancement: when every live participant has answered the

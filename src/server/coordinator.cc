@@ -41,8 +41,8 @@ CoordinatorActor::CoordinatorActor(Init init) : init_(std::move(init)) {
 void CoordinatorActor::OnStart() {
   for (FLTaskDescriptor& task : init_.tasks) {
     TaskState st;
-    st.plan_bytes = std::make_shared<const PlanBytesByVersion>(
-        SerializePlanSet(task.plans));
+    st.encoded_plans = std::make_shared<const PlansByVersion>(
+        EncodePlanSet(task.plans));
     st.descriptor = std::move(task);
     st.next_due = Now();
     tasks_.push_back(std::move(st));
@@ -175,12 +175,12 @@ void CoordinatorActor::StartRound(std::size_t task_index) {
   minit.config = task.descriptor.round_config;
   // The plan's server part picks the aggregation op; all versions share it.
   minit.aggregation_op =
-      task.plan_bytes->empty()
+      task.encoded_plans->empty()
           ? plan::AggregationOp::kWeightedFedAvg
           : task.descriptor.plans.plans().begin()->second.server.aggregation;
   minit.global_model = model_;
   minit.model_bytes = model_bytes_;
-  minit.plan_bytes = task.plan_bytes;
+  minit.encoded_plans = task.encoded_plans;
   minit.context = init_.context;
 
   const ActorId master = system().Spawn<MasterAggregatorActor>(

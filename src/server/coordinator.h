@@ -65,7 +65,7 @@ class CoordinatorActor final : public actor::Actor {
  private:
   struct TaskState {
     FLTaskDescriptor descriptor;
-    std::shared_ptr<const PlanBytesByVersion> plan_bytes;
+    std::shared_ptr<const PlansByVersion> encoded_plans;
     SimTime next_due;
     std::uint64_t rounds_run = 0;
   };

@@ -4,10 +4,17 @@
 
 namespace fl::server {
 
-PlanBytesByVersion SerializePlanSet(const plan::VersionedPlanSet& plans) {
-  PlanBytesByVersion out;
+PlansByVersion EncodePlanSet(const plan::VersionedPlanSet& plans) {
+  PlansByVersion out;
   for (const auto& [version, p] : plans.plans()) {
-    out.emplace(version, std::make_shared<const Bytes>(p.Serialize()));
+    auto bytes = std::make_shared<const Bytes>(p.Serialize());
+    // Decoded from the bytes, exactly as a device would decode them.
+    auto decoded = plan::FLPlan::Deserialize(*bytes);
+    FL_CHECK_MSG(decoded.ok(), decoded.status().ToString());
+    out.emplace(version,
+                EncodedPlan{std::move(bytes),
+                            std::make_shared<const plan::FLPlan>(
+                                std::move(decoded).value())});
   }
   return out;
 }

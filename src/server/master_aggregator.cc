@@ -207,7 +207,7 @@ void MasterAggregatorActor::BeginReporting() {
     agg_init.aggregation_op = init_.aggregation_op;
     agg_init.global_model = init_.global_model;
     agg_init.model_bytes = init_.model_bytes;
-    agg_init.plan_bytes = init_.plan_bytes;
+    agg_init.encoded_plans = init_.encoded_plans;
     agg_init.context = init_.context;
     const ActorId agg = system().Spawn<AggregatorActor>(
         "aggregator-r" + std::to_string(init_.round.value) + "-" +

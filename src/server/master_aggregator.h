@@ -32,7 +32,7 @@ class MasterAggregatorActor final : public actor::Actor {
     plan::AggregationOp aggregation_op = plan::AggregationOp::kWeightedFedAvg;
     std::shared_ptr<const Checkpoint> global_model;
     std::shared_ptr<const Bytes> model_bytes;
-    std::shared_ptr<const PlanBytesByVersion> plan_bytes;
+    std::shared_ptr<const PlansByVersion> encoded_plans;
     ServerContext* context = nullptr;
   };
 

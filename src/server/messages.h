@@ -39,6 +39,11 @@ struct TaskAssignment {
   ActorId aggregator;              // where to report
   std::shared_ptr<const Bytes> plan_bytes;   // serialized (versioned) FLPlan
   std::shared_ptr<const Bytes> model_bytes;  // serialized global checkpoint
+  // The same plan and model decoded once by the round and shared by its
+  // whole cohort. Wire accounting uses the serialized bytes above; the
+  // decoded copies only spare every simulated device its own decode.
+  std::shared_ptr<const plan::FLPlan> plan;
+  std::shared_ptr<const Checkpoint> model;
   SimTime participation_deadline;  // device-side cap (Fig. 8)
   // Secure Aggregation parameters (when enabled for this round).
   bool secagg_enabled = false;
@@ -55,6 +60,9 @@ struct TaskAssignment {
   // than the flat update, the device masks only the coordinates of
   // fedavg::AgreedIndexSet(secagg_index_seed, total, vector_length - 1).
   std::uint64_t secagg_index_seed = 0;
+  // That subset, derived once per Aggregator cohort from the seed (null
+  // when the cohort does not sparsify).
+  std::shared_ptr<const std::vector<std::uint32_t>> secagg_agreed_indices;
   // Plain-path update codec for this round (all stages default OFF).
   protocol::WireCodecConfig codec;
   // Causal context of the configuring server side (round + config span):

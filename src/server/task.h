@@ -29,12 +29,19 @@ struct FLTaskDescriptor {
   Duration round_cadence = Seconds(10);
 };
 
-// Pre-serialized plan bytes per supported runtime version, shared across the
-// round's actors and assignments.
-using PlanBytesByVersion =
-    std::map<std::uint32_t, std::shared_ptr<const Bytes>>;
+// One runtime version's plan as the server ships it: the serialized bytes
+// devices download, and those bytes decoded once so the cohort shares one
+// FLPlan instead of each device decoding its own copy.
+struct EncodedPlan {
+  std::shared_ptr<const Bytes> bytes;
+  std::shared_ptr<const plan::FLPlan> plan;
+};
 
-PlanBytesByVersion SerializePlanSet(const plan::VersionedPlanSet& plans);
+// Encoded plans per supported runtime version, shared across the round's
+// actors and assignments.
+using PlansByVersion = std::map<std::uint32_t, EncodedPlan>;
+
+PlansByVersion EncodePlanSet(const plan::VersionedPlanSet& plans);
 
 // Shared, actor-external services. Owned by the embedding application (the
 // fleet simulator / tests); must outlive the actor system.

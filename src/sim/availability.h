@@ -102,6 +102,7 @@ class AvailabilityProcess {
 
   // True if the device currently meets eligibility criteria.
   bool eligible() const { return eligible_; }
+  const DeviceProfile& profile() const { return profile_; }
 
   // Advances the process and returns the time of the next state toggle
   // strictly after `t`. Call repeatedly to walk the timeline.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +76,59 @@ TEST_F(ActorTest, SendAfterDelaysDelivery) {
   EXPECT_TRUE(system.Get<Recorder>(id)->values.empty());
   queue.RunUntil(SimTime{6000});
   EXPECT_EQ(system.Get<Recorder>(id)->values.size(), 1u);
+}
+
+// Records each Ping with the trace context it was delivered under.
+class TraceRecorder final : public Actor {
+ public:
+  void OnMessage(const Envelope& env) override {
+    if (const auto* p = std::any_cast<Ping>(&env.payload)) {
+      values.push_back(p->value);
+      traces.push_back(env.trace);
+    }
+  }
+  std::vector<int> values;
+  std::vector<telemetry::TraceContext> traces;
+};
+
+// Delayed envelopes wait in the system's slot pool, so each timer closure
+// fits the event node's inline buffer; timing, order and the sender's trace
+// context survive the detour.
+TEST_F(ActorTest, SendAfterNeedsNoHeapCallbackAndKeepsOrderAndTrace) {
+  const ActorId id = system.Spawn<TraceRecorder>("rec");
+  const auto context_for = [](int i) {
+    return telemetry::TraceContext{static_cast<std::uint64_t>(i + 1),
+                                   static_cast<std::uint64_t>(i + 1000), 7,
+                                   static_cast<std::uint64_t>(i * 3)};
+  };
+  std::vector<std::pair<std::int64_t, int>> expected;  // (delay s, value)
+  for (int i = 0; i < 100; ++i) {
+    const std::int64_t delay = (i * 7) % 5;  // ties keep send order
+    const telemetry::ScopedTraceContext scope(context_for(i));
+    system.SendAfter(Seconds(delay), ActorId{}, id, Ping{i});
+    expected.emplace_back(delay, i);
+  }
+  EXPECT_EQ(queue.stats().heap_callbacks, 0u);
+  // The next batch reuses the slots of the timers fired so far.
+  queue.RunUntil(SimTime{Seconds(2).millis});
+  for (int i = 100; i < 150; ++i) {
+    const telemetry::ScopedTraceContext scope(context_for(i));
+    system.SendAfter(Seconds(1), ActorId{}, id, Ping{i});
+    expected.emplace_back(3, i);
+  }
+  queue.Run();
+  EXPECT_EQ(queue.stats().heap_callbacks, 0u);
+
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  const auto* rec = system.Get<TraceRecorder>(id);
+  ASSERT_EQ(rec->values.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(rec->values[k], expected[k].second) << k;
+    EXPECT_EQ(rec->traces[k], context_for(rec->values[k])) << k;
+  }
 }
 
 // Records the profiler's actor tag in force while it handles a message.

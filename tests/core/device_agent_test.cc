@@ -33,18 +33,17 @@ struct CheckinHarness {
                                                    std::move(init));
     frontend.AddSelector(selector);
 
+    services.queue = &device_queue;
+    services.network = &network;
+    services.curve = &curve;
+    services.frontend = &frontend;
+    services.attestation = &attestation;
+    services.stats = &stats;
+    services.config = &config;
     Rng rng(11);
     for (const sim::DeviceProfile& profile :
          sim::GeneratePopulation(config.population, rng)) {
-      DeviceAgent::Services services;
-      services.queue = &device_queue;
-      services.network = &network;
-      services.curve = &curve;
-      services.frontend = &frontend;
-      services.attestation = &attestation;
-      services.stats = &stats;
-      services.config = &config;
-      agents.push_back(std::make_unique<DeviceAgent>(profile, services));
+      agents.push_back(std::make_unique<DeviceAgent>(profile, &services));
       agents.back()->Configure(config.population_name, "default",
                                config.device_checkin_cadence);
       agents.back()->Start();
@@ -79,6 +78,7 @@ struct CheckinHarness {
   server::ServerContext server_context;
   server::ServerFrontend frontend{&system, &server_context, &attestation};
   ActorId selector;
+  DeviceAgent::Services services;
   std::vector<std::unique_ptr<DeviceAgent>> agents;
 };
 
@@ -97,6 +97,28 @@ TEST(DeviceAgentTest, CheckinsScheduleNoHeapCallbacks) {
   EXPECT_GT(h.SessionsStarted(), sel->total_accepted());
   EXPECT_GT(h.device_queue.stats().fired, 100u);
   EXPECT_EQ(h.device_queue.stats().heap_callbacks, 0u);
+}
+
+// An idle device keeps only its hot state; the session lives on the heap
+// while it runs.
+TEST(DeviceAgentTest, IdleAgentFitsInHalfAKilobyte) {
+  EXPECT_LE(sizeof(DeviceAgent), 512u);
+}
+
+// A device whose check-in fails attestation is turned away at once and backs
+// off for hours; from then on it must hold no session state at all.
+TEST(DeviceAgentTest, RejectedCheckinHoldsNoSession) {
+  CheckinHarness h(/*max_waiting=*/2);
+  h.RunFor(Hours(3));
+  std::size_t rejected = 0;
+  for (const auto& agent : h.agents) {
+    if (agent->profile().genuine || agent->sessions_started() == 0) continue;
+    ++rejected;
+    EXPECT_FALSE(agent->in_session()) << agent->profile().id.value;
+    EXPECT_EQ(agent->sessions_completed(), 0u);
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(rejected, h.frontend.attestation_failures());
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ struct RuntimeFixture : public ::testing::Test {
   void SetUp() override {
     Rng model_rng(1);
     model = graph::BuildLogisticRegression(8, 4, model_rng);
-    auto store = std::make_shared<InMemoryExampleStore>(
+    auto store = std::make_unique<InMemoryExampleStore>(
         "default", InMemoryExampleStore::Options{});
     data::BlobsWorkload blobs({.classes = 4, .feature_dim = 8}, 7);
     store->AddBatch(blobs.UserExamples(3, 40, SimTime{0}));

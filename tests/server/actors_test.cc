@@ -100,8 +100,8 @@ struct Harness : public ::testing::Test {
     auto plans = plan::VersionedPlanSet::Generate(default_plan, 1);
     FL_CHECK(plans.ok());
     plan_set = std::move(plans).value();
-    plan_bytes = std::make_shared<const PlanBytesByVersion>(
-        SerializePlanSet(plan_set));
+    encoded_plans = std::make_shared<const PlansByVersion>(
+        EncodePlanSet(plan_set));
   }
 
   protocol::RoundConfig SmallRound() {
@@ -124,7 +124,7 @@ struct Harness : public ::testing::Test {
     init.config = config;
     init.global_model = model_ptr;
     init.model_bytes = model_bytes;
-    init.plan_bytes = plan_bytes;
+    init.encoded_plans = encoded_plans;
     init.context = &server_context;
     return system.Spawn<MasterAggregatorActor>("master", std::move(init));
   }
@@ -159,7 +159,7 @@ struct Harness : public ::testing::Test {
   std::shared_ptr<const Checkpoint> model_ptr;
   std::shared_ptr<const Bytes> model_bytes;
   plan::VersionedPlanSet plan_set;
-  std::shared_ptr<const PlanBytesByVersion> plan_bytes;
+  std::shared_ptr<const PlansByVersion> encoded_plans;
 };
 
 // ---------------------------------------------------------------------------
@@ -446,8 +446,8 @@ TEST_F(Harness, OldDeviceGetsLoweredPlanVersion) {
   ASSERT_TRUE(plans.ok());
   model_ptr = std::make_shared<const Checkpoint>(lm.init_params);
   model_bytes = std::make_shared<const Bytes>(lm.init_params.Serialize());
-  plan_bytes =
-      std::make_shared<const PlanBytesByVersion>(SerializePlanSet(*plans));
+  encoded_plans =
+      std::make_shared<const PlansByVersion>(EncodePlanSet(*plans));
 
   const ActorId probe = system.Spawn<ProbeActor>("probe");
   protocol::RoundConfig config = SmallRound();

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/common/fixed_point.h"
+#include "src/fedavg/codec.h"
 #include "src/graph/model_zoo.h"
 #include "src/secagg/client.h"
 #include "src/server/aggregator.h"
@@ -148,8 +149,8 @@ struct SecureHarness : public ::testing::Test {
     auto plans = plan::VersionedPlanSet::Generate(
         plan::MakeTrainingPlan(model, "task", {}, {}), 1);
     FL_CHECK(plans.ok());
-    plan_bytes = std::make_shared<const PlanBytesByVersion>(
-        SerializePlanSet(*plans));
+    encoded_plans = std::make_shared<const PlansByVersion>(
+        EncodePlanSet(*plans));
   }
 
   protocol::RoundConfig SecureRound(std::size_t goal) {
@@ -175,7 +176,7 @@ struct SecureHarness : public ::testing::Test {
     init.config = config;
     init.global_model = model_ptr;
     init.model_bytes = model_bytes;
-    init.plan_bytes = plan_bytes;
+    init.encoded_plans = encoded_plans;
     init.context = &server_context;
     return system.Spawn<MasterAggregatorActor>("master", std::move(init));
   }
@@ -211,7 +212,7 @@ struct SecureHarness : public ::testing::Test {
   graph::Model model;
   std::shared_ptr<const Checkpoint> model_ptr;
   std::shared_ptr<const Bytes> model_bytes;
-  std::shared_ptr<const PlanBytesByVersion> plan_bytes;
+  std::shared_ptr<const PlansByVersion> encoded_plans;
 };
 
 TEST_F(SecureHarness, SecureRoundCommitsExactQuantizedSum) {
@@ -236,6 +237,60 @@ TEST_F(SecureHarness, SecureRoundCommitsExactQuantizedSum) {
   for (auto& d : devices) {
     EXPECT_TRUE(d.acked);
     EXPECT_TRUE(d.ack_accepted);
+  }
+}
+
+// The round decodes its plan and model once and derives the cohort's
+// agreed coordinate subset once; every participant gets the same objects,
+// and the sparse masked sum still decodes exactly onto that subset.
+TEST_F(SecureHarness, CohortSharesRoundArtifactsByPointer) {
+  const ActorId probe = system.Spawn<ProbeActor>("probe");
+  protocol::RoundConfig config = SecureRound(6);
+  config.secagg.keep_fraction = 0.5;
+  const ActorId master = SpawnMaster(config, probe);
+  auto devices = MakeDevices(6);
+  Forward(master, devices);
+  queue.RunFor(Minutes(20));
+
+  const std::size_t total = model.init_params.TotalParameters();
+  const std::size_t keep = fedavg::KeepCount(total, 0.5);
+  ASSERT_LT(keep, total);
+  const TaskAssignment& first = *devices[0].assignment;
+  ASSERT_NE(first.plan, nullptr);
+  ASSERT_NE(first.secagg_agreed_indices, nullptr);
+  EXPECT_EQ(first.model, model_ptr);
+  EXPECT_EQ(*first.secagg_agreed_indices,
+            fedavg::AgreedIndexSet(first.secagg_index_seed, total, keep));
+  for (const auto& d : devices) {
+    ASSERT_TRUE(d.assignment.has_value());
+    EXPECT_EQ(d.assignment->plan, first.plan);
+    EXPECT_EQ(d.assignment->model, first.model);
+    EXPECT_EQ(d.assignment->secagg_agreed_indices,
+              first.secagg_agreed_indices);
+    EXPECT_EQ(d.assignment->secagg_vector_length, keep + 1);
+  }
+  // The shared plan is the decode of the bytes on the wire.
+  auto decoded = plan::FLPlan::Deserialize(*first.plan_bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->Serialize(), first.plan->Serialize());
+
+  auto* p = system.Get<ProbeActor>(probe);
+  ASSERT_EQ(p->completes.size(), 1u) << "abandons: " << p->abandons.size();
+  EXPECT_EQ(p->completes[0].contributors, 6u);
+  // Six updates of 0.5 on each agreed coordinate, rescaled by total/keep;
+  // every other coordinate stays exactly zero.
+  const std::vector<float> flat = p->completes[0].delta_sum.Flatten();
+  ASSERT_EQ(flat.size(), total);
+  std::vector<bool> agreed(total, false);
+  for (std::uint32_t i : *first.secagg_agreed_indices) agreed[i] = true;
+  const float expected = 6 * 0.5f * static_cast<float>(total) /
+                         static_cast<float>(keep);
+  for (std::size_t i = 0; i < total; ++i) {
+    if (agreed[i]) {
+      EXPECT_NEAR(flat[i], expected, 0.01) << i;
+    } else {
+      EXPECT_EQ(flat[i], 0.0f) << i;
+    }
   }
 }
 
