@@ -1,9 +1,10 @@
 // Flight-recorder overhead: proves "always-on" is affordable. Two
 // measurements:
 //
-//  1. Micro: RecordFlight() in a tight loop — the enabled cost per record
-//     (six relaxed stores + one release store + one relaxed fetch_add) and
-//     the disabled cost (one relaxed gate load).
+//  1. Micro: analytics::Emit() of a device event in a tight loop — the
+//     enabled cost per record (seven relaxed stores + one release store +
+//     one relaxed fetch_add, plus the journal and telemetry gates) and the
+//     disabled cost (the same call with every gate off).
 //  2. Macro: the fleet simulator (FLSystem, the protocol hot path every
 //     record site lives on) run with the recorder OFF vs ON, telemetry and
 //     journal OFF both ways. Gate: enabled overhead <= 2% of the OFF run.
@@ -17,7 +18,7 @@
 #include <cstdlib>
 
 #include "bench/bench_common.h"
-#include "src/analytics/flight_dump.h"
+#include "src/analytics/emit.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 
@@ -35,10 +36,11 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 double RecordLoop(std::size_t iters) {
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    analytics::RecordFlight(
-        SimTime{static_cast<std::int64_t>(i)}, analytics::JournalSource::kDevice,
-        analytics::JournalEventKind::kTrainStart, DeviceId{i & 0xffff},
-        SessionId{i}, RoundId{i >> 10});
+    analytics::Emit({.at = SimTime{static_cast<std::int64_t>(i)},
+                     .kind = analytics::JournalEventKind::kTrainStart,
+                     .device = DeviceId{i & 0xffff},
+                     .session = SessionId{i},
+                     .round = RoundId{i >> 10}});
   }
   return SecondsSince(t0);
 }

@@ -1,84 +1,49 @@
-// Journal-typed view over the telemetry flight recorder. fl_telemetry keeps
-// the rings protocol-agnostic (opaque u8 source/kind, two aux words); this
-// header owns the encoding: journal sources/events map one-to-one onto the
-// flight codes, rejection and loss reasons are FlightReason codes, and the
-// dump synthesizes `#fl-journal v1`-format lines that fl_analyze ingests
-// exactly like a real journal (minus byte-accounting details, which the
-// rings do not carry).
+// The journal projection and the journal-typed view over the telemetry
+// flight recorder. fl_telemetry keeps the rings protocol-agnostic (opaque u8
+// source/kind, three aux words); this header owns the encoding: each
+// journaled Event is one flight record, and the journal writer and both
+// dumps render Events through FormatJournalLine, so a crash dump and the
+// journal cannot drift.
 //
-// RecordFlight() is the always-on sibling of AppendJournal(): emission sites
-// call it unconditionally (it self-gates on one relaxed load), *before* any
-// `if (JournalEnabled())` block, so the last kSlotsPerThread events per
-// thread exist even when nothing else is recording.
+// Emit() (analytics/emit.h) records every journaled kind here while the
+// recorder is on, so the last kSlotsPerThread events per thread exist even
+// when nothing else is recording.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/analytics/journal.h"
-#include "src/protocol/round_config.h"
 #include "src/telemetry/flight_recorder.h"
 
 namespace fl::analytics {
 
-// Why a device was turned away / a report refused / a round lost. Encoded in
-// the flight record's aux_b (low byte); FlightReasonName returns the detail
-// string the dump emits, chosen to match the journal's where the journal
-// uses a fixed string ("late", "round_full", ...).
-enum class FlightReason : std::uint8_t {
-  kNone = 0,
-  // Selector rejections (their journal details are these names).
-  kWaitingPoolFull,   // "waiting pool full"
-  kNotAccepting,      // "not accepting"
-  kQuotaReduced,      // "quota reduced"
-  kHeldTooLong,       // "held too long"
-  // Master / configuration rejections.
-  kRoundFull,         // "round_full"
-  kRoundAbandonedReject,  // "round_abandoned" (pending links on abandon)
-  kRuntimeTooOld,     // "runtime_too_old"
-  // Aggregator report rejections.
-  kLate,              // "late"
-  kCorrupt,           // "corrupt"
-  kAccumulate,        // "accumulate"
-  // Round-loss reasons (abandon / coordinator outcome).
-  kSelectionTimeout,  // "selection timeout"
-  kBelowMinReports,   // "below min_report"
-  kMasterEndOfLife,   // "master end of life"
-  kCommitFailed,      // "commit"
-  kMasterLost,        // "master_lost"
-  kOther,
-};
-
+// The detail text of a reason code, e.g. "late", "waiting pool full".
 const char* FlightReasonName(FlightReason r);
 
-// aux_b packing for round-level records: low byte = FlightReason, high byte
-// = RoundOutcome + 1 (0 = no outcome recorded).
-inline std::uint16_t PackOutcomeReason(protocol::RoundOutcome outcome,
-                                       FlightReason reason) {
-  return static_cast<std::uint16_t>(
-      static_cast<std::uint16_t>(reason) |
-      ((static_cast<std::uint16_t>(outcome) + 1) << 8));
-}
+// Round codec names ("dense", "topk25+int8", "fp16+keep25") interned to a
+// small id so the fixed-field record, and the flight ring, can carry them.
+// Id 0 (and a full table) renders as "". CodecName is async-signal-safe.
+std::uint8_t InternCodec(std::string_view name);
+const char* CodecName(std::uint8_t id);
 
-// The always-on emission hook. aux_a carries the per-kind count (goal,
-// contributors, phase index, completed flag); aux_b the reason/outcome.
-inline void RecordFlight(SimTime t, JournalSource source,
-                         JournalEventKind kind, DeviceId device = DeviceId{},
-                         SessionId session = SessionId{},
-                         RoundId round = RoundId{}, std::uint32_t aux_a = 0,
-                         std::uint16_t aux_b = 0) {
-  if (!telemetry::FlightRecorderEnabled()) return;
-  telemetry::FlightRecorder::Global().Record(
-      static_cast<std::uint8_t>(source), static_cast<std::uint8_t>(kind),
-      static_cast<std::uint64_t>(t.millis), device.value, session.value,
-      round.value, aux_a, aux_b);
-}
+// The projection: renders `e` as one journal line, no trailing newline:
+//   <sim_ms> <wall_us> <source> <event> <device> <session> <round> [detail]
+// Async-signal-safe (no allocation, no locking); `out` must hold
+// kMaxJournalLine bytes. Returns the line length.
+inline constexpr std::size_t kMaxJournalLine = 384;
+std::size_t FormatJournalLine(const Event& e, std::int64_t wall_us,
+                              char* out);
 
-// Decodes one flight record back into a journal record (detail synthesized
-// from aux_a/aux_b per kind). Returns false for non-journal records (span
-// begin/end from the tracer, unknown codes).
-bool JournalRecordFromFlight(const telemetry::FlightRecord& rec,
-                             JournalRecord* out);
+// Writes `e` to this thread's ring. Callers check FlightRecorderEnabled().
+// The ring keeps min_report to 16 bits and bytes to 40 bits.
+void RecordFlight(const Event& e);
+
+// Decodes one flight record back into the Event it was recorded from.
+// Returns false for non-journal records (span begin/end from the tracer,
+// unknown codes).
+bool EventFromFlight(const telemetry::FlightRecord& rec, Event* out);
 
 // Every valid slot, seq-ordered, rendered as `#fl-journal v1` text. Span
 // records become `#span ...` comment lines (parsers skip '#'). Allocates;

@@ -4,6 +4,9 @@
 #include <charconv>
 #include <cinttypes>
 
+#include "src/analytics/flight_dump.h"  // FormatJournalLine
+#include "src/telemetry/telemetry.h"       // WallMicros
+
 namespace fl::analytics {
 namespace {
 
@@ -16,13 +19,14 @@ struct NameEntry {
   const char* name;
 };
 
-constexpr std::array<NameEntry, 6> kSourceNames = {{
+constexpr std::array<NameEntry, 7> kSourceNames = {{
     {"device"},
     {"selector"},
     {"master"},
     {"aggregator"},
     {"coordinator"},
     {"sim"},
+    {"frontend"},
 }};
 
 constexpr std::array<NameEntry, 21> kEventNames = {{
@@ -240,14 +244,15 @@ bool Journal::is_open() const {
   return file_ != nullptr;
 }
 
-void Journal::Append(const JournalRecord& record) {
-  const std::string line = record.Serialize();
+void Journal::Append(const Event& e) {
+  char line[kMaxJournalLine + 1];
+  std::size_t n = FormatJournalLine(e, telemetry::WallMicros(), line);
+  line[n++] = '\n';
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;
-  buffer_ += line;
-  buffer_ += '\n';
+  buffer_.append(line, n);
   events_written_.fetch_add(1, std::memory_order_relaxed);
-  bytes_written_.fetch_add(line.size() + 1, std::memory_order_relaxed);
+  bytes_written_.fetch_add(n, std::memory_order_relaxed);
   if (buffer_.size() >= kFlushThreshold) FlushLocked();
 }
 

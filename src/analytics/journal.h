@@ -1,15 +1,16 @@
 // Durable event journal (Sec. 5): "we also log an event for every state in a
-// training round" — devices and server actors append one structured record
-// per lifecycle event to a line-delimited log that survives the process, so
-// session shapes (Table 1) can be regenerated offline and bugs show up as
-// "deviations from the expected state sequences" (checked by
-// tools/log_analyzer + the fl_analyze CLI).
+// training round" — devices and server actors emit one typed Event per fact
+// (analytics/emit.h), and the journal writes the journaled kinds to a
+// line-delimited log that survives the process, so session shapes (Table 1)
+// can be regenerated offline and bugs show up as "deviations from the
+// expected state sequences" (checked by tools/log_analyzer + the fl_analyze
+// CLI).
 //
 // Gating mirrors telemetry: JournalEnabled() is one relaxed atomic load,
-// false until a journal file is opened, so every emission site costs ~one
-// predictable branch when journaling is off. Writes go through a buffered
-// sink (format into a stack buffer, append to a heap buffer under a mutex,
-// flush to disk in large blocks), so the enabled path stays cheap too.
+// false until a journal file is opened, so Emit() costs one predictable
+// branch here when journaling is off. Writes go through a buffered sink
+// (format into a stack buffer, append to a heap buffer under a mutex, flush
+// to disk in large blocks), so the enabled path stays cheap too.
 #pragma once
 
 #include <atomic>
@@ -23,12 +24,12 @@
 #include "src/common/id.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
-#include "src/telemetry/telemetry.h"  // WallMicros
+#include "src/protocol/round_config.h"
 
 namespace fl::analytics {
 
-// Who appended the record. One value per paper actor (Sec. 4.2) plus the
-// in-process modeling simulator (Sec. 7.1).
+// Who emitted the fact. One value per paper actor (Sec. 4.2) plus the
+// in-process modeling simulator (Sec. 7.1) and the check-in front end.
 enum class JournalSource : std::uint8_t {
   kDevice = 0,
   kSelector,
@@ -36,13 +37,16 @@ enum class JournalSource : std::uint8_t {
   kAggregator,
   kCoordinator,
   kSim,
+  kFrontend,
 };
 
 const char* JournalSourceName(JournalSource s);
 Result<JournalSource> ParseJournalSource(std::string_view name);
 
-// Every journaled lifecycle event. The first block mirrors SessionEvent
-// one-to-one (device-side, Table 1 glyphs); the rest are server/sim states.
+// Every emitted fact. The first block mirrors SessionEvent one-to-one
+// (device-side, Table 1 glyphs); then server/sim states; the last block is
+// stats-only: FleetStats, the RoundLedger and the fl_server_* counters fold
+// those, the journal and the flight ring skip them.
 enum class JournalEventKind : std::uint8_t {
   // --- device session events (Table 1) ---
   kCheckin = 0,        // '-'
@@ -59,27 +63,100 @@ enum class JournalEventKind : std::uint8_t {
   kCheckinAccepted,    // selector admitted the device to its waiting pool
   kCheckinRejected,    // selector/master/aggregator turned the device away
   kRoundOpen,          // master aggregator spawned for a round
-  kPhase,              // round phase transition (detail = phase name)
+  kPhase,              // round phase transition
   kReportAccepted,     // aggregator folded a device report into the sum
   kReportRejected,     // aggregator refused a report (late/corrupt)
   kRoundCommit,        // master reached the participant goal
-  kRoundAbandoned,     // master gave up (detail = outcome + reason)
+  kRoundAbandoned,     // master gave up (outcome + reason)
   kRoundOutcome,       // coordinator's final verdict for the round
   // --- modeling simulator (tools/simulation_runner) ---
   kSimRoundStart,
   kSimRoundComplete,
+  // --- stats-only facts ---
+  kMasterAccepted,      // master took a forwarded device into the round
+  kParticipantAborted,  // aggregator closed a participant: work discarded
+  kParticipantDropped,  // participant lost (aggregator close, device cap)
+  kDownload,            // bytes server -> device at the server NIC (Fig. 9)
+  kUpload,              // bytes device -> server at the server NIC
+  kServerError,
 };
 
 const char* JournalEventName(JournalEventKind k);
 Result<JournalEventKind> ParseJournalEvent(std::string_view name);
+
+// True for the kinds the journal and the flight ring record.
+inline bool IsJournaled(JournalEventKind k) {
+  return k <= JournalEventKind::kSimRoundComplete;
+}
 
 // Device SessionEvent <-> JournalEventKind (the first nine kinds).
 JournalEventKind JournalEventForSession(SessionEvent e);
 // Returns false when `k` is not a device session event.
 bool SessionEventForJournal(JournalEventKind k, SessionEvent* out);
 
-// One journal line. Ids use 0 for "not applicable" (e.g. a round-level
+// Why a device was turned away, a report refused or a round lost. The
+// journal detail renders FlightReasonName (analytics/flight_dump.h: "late",
+// "round_full", ...); the two loss reasons that carry counts render them
+// too ("selection timeout with 3 devices", "only 2 reports; need 4").
+enum class FlightReason : std::uint8_t {
+  kNone = 0,
+  // Selector rejections.
+  kWaitingPoolFull,   // "waiting pool full"
+  kNotAccepting,      // "not accepting"
+  kQuotaReduced,      // "quota reduced"
+  kHeldTooLong,       // "held too long"
+  // Master / configuration rejections.
+  kRoundFull,         // "round_full"
+  kRoundAbandonedReject,  // "round_abandoned" (pending links on abandon)
+  kRuntimeTooOld,     // "runtime_too_old"
+  // Aggregator report rejections.
+  kLate,              // "late"
+  kCorrupt,           // "corrupt"
+  kAccumulate,        // "accumulate"
+  // Round-loss reasons (abandon / coordinator outcome).
+  kSelectionTimeout,  // "selection timeout"
+  kBelowMinReports,   // "below min_report"
+  kMasterEndOfLife,   // "master end of life before completion"
+  kCommitFailed,      // "commit"
+  kMasterLost,        // "master_lost"
+  kOther,
+};
+
+// One fact, emitted once at its site (analytics/emit.h) and rendered by
+// FormatJournalLine (analytics/flight_dump.h). Fixed fields only, so
+// emitting builds no strings. Ids use 0 for "not applicable" (a round-level
 // event has no device/session; a pre-assignment device event has no round).
+// The per-kind fields:
+//   count       session_end: 1 = completed; report_accepted: 1 = a SecAgg
+//               masked input; round_open: goal; phase: phase index
+//               (selection, configuration, reporting, closing);
+//               round_commit and committed round_outcome: contributors;
+//               round losses: the devices/reports their reason counts;
+//               sim_round_start: clients wanted; sim_round_complete: got
+//   min_report  round_open, round_commit, below-min-report losses
+//   bytes       report_accepted, round_commit: wire bytes; download/upload
+//   codec       report_accepted (plain), round_commit: InternCodec id
+//   reason      rejections and round losses
+//   outcome     round_abandoned, round_outcome
+//   selection_duration, round_duration   committed round_outcome
+struct Event {
+  SimTime at{};
+  JournalSource source = JournalSource::kDevice;
+  JournalEventKind kind = JournalEventKind::kCheckin;
+  FlightReason reason = FlightReason::kNone;
+  protocol::RoundOutcome outcome = protocol::RoundOutcome::kCommitted;
+  std::uint8_t codec = 0;
+  std::uint32_t count = 0;
+  std::uint32_t min_report = 0;
+  DeviceId device{};
+  SessionId session{};
+  RoundId round{};
+  std::uint64_t bytes = 0;
+  Duration selection_duration{};
+  Duration round_duration{};
+};
+
+// One parsed journal line (the reader side: tools/log_analyzer, tests).
 struct JournalRecord {
   SimTime sim_time;
   std::int64_t wall_us = 0;
@@ -111,8 +188,7 @@ namespace journal_internal {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace journal_internal
 
-// One relaxed load; every emission site is written
-// `if (JournalEnabled()) { ... }` so a disabled deployment performs no
+// One relaxed load; Emit() checks it so a disabled deployment performs no
 // formatting, locking, or allocation.
 inline bool JournalEnabled() {
   return journal_internal::g_enabled.load(std::memory_order_relaxed);
@@ -145,7 +221,8 @@ class Journal {
   // Flush + close + disable. Idempotent.
   void Close();
 
-  void Append(const JournalRecord& record);
+  // Renders `e` through FormatJournalLine, stamped with the wall clock.
+  void Append(const Event& e);
 
   std::uint64_t events_written() const {
     return events_written_.load(std::memory_order_relaxed);
@@ -167,25 +244,5 @@ class Journal {
   std::atomic<std::uint64_t> events_written_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
 };
-
-// Emission convenience: stamps the wall clock and appends to the global
-// journal. Callers must pre-check JournalEnabled() so disabled deployments
-// never reach the formatting/locking path.
-inline void AppendJournal(SimTime t, JournalSource source,
-                          JournalEventKind event,
-                          DeviceId device = DeviceId{},
-                          SessionId session = SessionId{},
-                          RoundId round = RoundId{}, std::string detail = {}) {
-  JournalRecord rec;
-  rec.sim_time = t;
-  rec.wall_us = telemetry::WallMicros();
-  rec.source = source;
-  rec.event = event;
-  rec.device = device;
-  rec.session = session;
-  rec.round = round;
-  rec.detail = std::move(detail);
-  Journal::Global().Append(rec);
-}
 
 }  // namespace fl::analytics

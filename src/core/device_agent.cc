@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/analytics/flight_dump.h"
 #include "src/common/fixed_point.h"
 #include "src/device/runtime.h"
 #include "src/fedavg/codec.h"
@@ -97,6 +96,7 @@ DeviceAgent::DeviceAgent(sim::DeviceProfile profile, const Services* services)
       rng_(profile.seed ^ 0x5851f42d4c957f2dULL) {
   FL_CHECK(services_->queue != nullptr && services_->network != nullptr &&
            services_->frontend != nullptr && services_->stats != nullptr &&
+           services_->events != nullptr &&
            services_->config != nullptr && services_->attestation != nullptr);
   eligible_ = availability_.eligible();
 }
@@ -150,23 +150,20 @@ void DeviceAgent::SetState(DeviceState s) {
 void DeviceAgent::AddTrace(SessionEvent e) {
   if (!session_) return;
   session_->trace.events.push_back(e);
-  analytics::RecordFlight(services_->queue->now(),
-                          analytics::JournalSource::kDevice,
-                          analytics::JournalEventForSession(e), profile().id,
-                          session_->id,
-                          session_->assigned ? session_->round : RoundId{});
-  if (analytics::JournalEnabled()) {
-    JournalEvent(analytics::JournalEventForSession(e));
-  }
+  Emit(analytics::JournalEventForSession(e));
 }
 
-void DeviceAgent::JournalEvent(analytics::JournalEventKind kind,
-                               std::string detail) {
-  if (!analytics::JournalEnabled() || !session_) return;
-  analytics::AppendJournal(
-      services_->queue->now(), analytics::JournalSource::kDevice, kind,
-      profile().id, session_->id,
-      session_->assigned ? session_->round : RoundId{}, std::move(detail));
+void DeviceAgent::Emit(analytics::JournalEventKind kind, std::uint32_t count,
+                       std::uint64_t bytes) {
+  services_->events->Emit(
+      {.at = services_->queue->now(),
+       .source = analytics::JournalSource::kDevice,
+       .kind = kind,
+       .count = count,
+       .device = profile().id,
+       .session = session_->id,
+       .round = session_->assigned ? session_->round : RoundId{},
+       .bytes = bytes});
 }
 
 void DeviceAgent::ScheduleNextToggle() {
@@ -409,8 +406,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
         return;
       }
       // Capped by the server (Fig. 8); abandon quietly.
-      services_->stats->OnDeviceDrop(services_->queue->now(), session_->round,
-                                    profile().id);
+      Emit(analytics::JournalEventKind::kParticipantDropped);
       EndSession(false);
     });
   }
@@ -528,7 +524,7 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
     services_->queue->After(t.duration, [this, gen, t] {
       if (!Active(gen)) return;
       // Wasted bytes still hit the server NIC.
-      services_->stats->OnTraffic(services_->queue->now(), 0, t.bytes_on_wire);
+      Emit(analytics::JournalEventKind::kUpload, 0, t.bytes_on_wire);
       FailSession("upload failed");
     });
     return;
@@ -722,10 +718,11 @@ void DeviceAgent::Interrupt() {
   // Interrupted mid-session ('!'): eligibility lost — e.g., the user picked
   // up the phone (Sec. 3: "the FL runtime will abort ... if these conditions
   // are no longer met").
-  if (session_->assigned) {
+  // An assigned session's '!' also counts as the participant's drop. A
+  // SecAgg session lingering for Finalization after its accepted upload
+  // ('^') already completed: it just ends, as the participation cap does.
+  if (session_->assigned && !session_->reported_ok) {
     AddTrace(SessionEvent::kInterrupted);
-    services_->stats->OnDeviceDrop(services_->queue->now(), session_->round,
-                                  profile().id);
   }
   EndSession(false);
 }
@@ -733,26 +730,14 @@ void DeviceAgent::Interrupt() {
 void DeviceAgent::FailSession(const std::string& why) {
   (void)why;
   if (!session_) return;
-  AddTrace(SessionEvent::kError);
-  if (session_->assigned) {
-    services_->stats->OnDeviceDrop(services_->queue->now(), session_->round,
-                                  profile().id);
-  }
+  AddTrace(SessionEvent::kError);  // a drop too, once assigned
   EndSession(false);
 }
 
 void DeviceAgent::EndSession(bool completed) {
   if (!session_) return;
   if (completed) ++sessions_completed_;
-  analytics::RecordFlight(
-      services_->queue->now(), analytics::JournalSource::kDevice,
-      analytics::JournalEventKind::kSessionEnd, profile().id, session_->id,
-      session_->assigned ? session_->round : RoundId{},
-      completed ? 1 : 0);
-  if (analytics::JournalEnabled()) {
-    JournalEvent(analytics::JournalEventKind::kSessionEnd,
-                 completed ? "completed=1" : "completed=0");
-  }
+  Emit(analytics::JournalEventKind::kSessionEnd, completed ? 1 : 0);
   // Close any spans the session still holds (abandon/interrupt paths).
   auto& tracer = telemetry::Tracer::Global();
   const SimTime now = services_->queue->now();

@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "src/analytics/events.h"
-#include "src/analytics/journal.h"
+#include "src/analytics/emit.h"
 #include "src/core/config.h"
 #include "src/core/fleet_stats.h"
 #include "src/device/attestation.h"
@@ -30,7 +30,8 @@ class DeviceAgent {
     const sim::DiurnalCurve* curve = nullptr;
     server::ServerFrontend* frontend = nullptr;
     const device::AttestationAuthority* attestation = nullptr;
-    FleetStats* stats = nullptr;
+    FleetStats* stats = nullptr;  // state occupancy and session shapes
+    const analytics::EventBus* events = nullptr;
     const FLSystemConfig* config = nullptr;
   };
 
@@ -92,10 +93,9 @@ class DeviceAgent {
   // --- bookkeeping ---
   void SetState(analytics::DeviceState s);
   void AddTrace(analytics::SessionEvent e);
-  // Appends a device-sourced record for the live session to the global
-  // event journal (no-op when journaling is disabled or no session).
-  void JournalEvent(analytics::JournalEventKind kind,
-                    std::string detail = {});
+  // Emits a device-sourced fact about the live session.
+  void Emit(analytics::JournalEventKind kind, std::uint32_t count = 0,
+            std::uint64_t bytes = 0);
   void Interrupt();                // eligibility lost mid-session
   void FailSession(const std::string& why);  // '*' error path
   void EndSession(bool completed);

@@ -30,14 +30,17 @@ FLSystem::FLSystem(FLSystemConfig config)
       actors_.get(), &server_context_, &attestation_);
 
   server_context_.locks = &locks_;
-  // Server actors report through a tee chain: TelemetryStatsSink mirrors
-  // each event into the MetricsRegistry (when telemetry is enabled), the
-  // RoundLedger keeps the last-K round records for /rounds (when the ops
-  // plane is up), and every event still lands in FleetStats (Fig. 5–9
-  // analytics). Both tees are one branch each when disabled.
-  round_ledger_ = std::make_unique<ops::RoundLedger>(stats_.get());
-  telemetry_sink_ =
-      std::make_unique<server::TelemetryStatsSink>(round_ledger_.get());
+  // Every server and device fact is emitted once through events_: the
+  // process-wide consumers (fl_server_* counters, flight ring, journal) see
+  // it first, then this deployment's folds — FleetStats (Fig. 5–9
+  // analytics) and the RoundLedger (/rounds, recording while the ops plane
+  // is up).
+  round_ledger_ = std::make_unique<ops::RoundLedger>();
+  events_ = std::make_unique<analytics::EventBus>(
+      [this](const analytics::Event& e) {
+        stats_->OnEvent(e);
+        round_ledger_->OnEvent(e);
+      });
   // Diagnostic bundler: disabled (dir empty) unless configured, but always
   // constructed so triggers can be wired unconditionally. The abandoned-
   // round hook fires even with the ops plane off.
@@ -55,7 +58,7 @@ FLSystem::FLSystem(FLSystemConfig config)
                 " outcome=" + protocol::RoundOutcomeName(outcome),
             t);
       });
-  server_context_.stats = telemetry_sink_.get();
+  server_context_.events = events_.get();
   server_context_.pace = pace_.get();
   server_context_.rng = &rng_;
   server_context_.estimated_population = config_.population.device_count;
@@ -275,6 +278,7 @@ void FLSystem::Start() {
       .frontend = frontend_.get(),
       .attestation = &attestation_,
       .stats = stats_.get(),
+      .events = events_.get(),
       .config = &config_};
   for (const sim::DeviceProfile& profile : profiles) {
     auto agent = std::make_unique<DeviceAgent>(profile, &device_services_);

@@ -28,7 +28,6 @@
 #include "src/protocol/adaptive.h"
 #include "src/server/coordinator.h"
 #include "src/server/selector.h"
-#include "src/server/telemetry_sink.h"
 
 namespace fl::core {
 
@@ -106,8 +105,8 @@ class FLSystem {
   // non-empty. Captures fire on abandoned rounds and unhealthy transitions.
   ops::DiagnosticBundler& bundler() { return *bundler_; }
   const ops::DiagnosticBundler& bundler() const { return *bundler_; }
-  // Always present in the sink chain (recording only while the ops plane
-  // is up); /rounds serves from it.
+  // Always folding this deployment's events (recording only while the ops
+  // plane is up); /rounds serves from it.
   ops::RoundLedger& round_ledger() { return *round_ledger_; }
   server::ModelStore& model_store() { return *model_store_; }
   actor::ActorSystem& actor_system() { return *actors_; }
@@ -137,8 +136,8 @@ class FLSystem {
   std::unique_ptr<server::ModelStore> model_store_;
   std::unique_ptr<FleetStats> stats_;
   std::unique_ptr<ops::RoundLedger> round_ledger_;
+  std::unique_ptr<analytics::EventBus> events_;
   std::unique_ptr<ops::DiagnosticBundler> bundler_;
-  std::unique_ptr<server::TelemetryStatsSink> telemetry_sink_;
   std::unique_ptr<ops::OpsPlane> ops_;
   analytics::MonitorHub monitor_hub_;
   std::unique_ptr<protocol::PaceSteeringPolicy> pace_;

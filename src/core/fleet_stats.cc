@@ -1,5 +1,6 @@
 #include "src/core/fleet_stats.h"
 
+#include "src/analytics/emit.h"
 #include "src/common/logging.h"
 namespace fl::core {
 namespace {
@@ -25,91 +26,76 @@ FleetStats::FleetStats(SimTime start, Duration bucket)
       participation_(0.0, 30.0, 120),       // minutes
       drop_rate_monitor_("participant_drop_rate", {}) {}
 
-void FleetStats::OnRoundOutcome(SimTime t, RoundId round,
-                                protocol::RoundOutcome outcome,
-                                std::size_t contributors) {
-  if (outcome == protocol::RoundOutcome::kCommitted) {
-    ++rounds_committed_;
-    round_completions_.Add(t);
-  } else {
-    ++rounds_abandoned_;
-    round_failures_.Add(t);
+void FleetStats::OnEvent(const analytics::Event& e) {
+  using analytics::JournalEventKind;
+  if (analytics::IsServerError(e)) {
+    ++errors_;
+    // Expected operational noise (drop-outs, aborted secagg groups) stays
+    // at INFO; the error *counter* is what monitors consume (Sec. 5).
+    FL_LOG(Info) << "[" << FormatSimTime(e.at) << "] server error at "
+                 << analytics::JournalSourceName(e.source) << " round "
+                 << e.round.value;
   }
-  RoundSummary summary;
-  summary.round = round;
-  summary.at = t;
-  summary.outcome = outcome;
-  summary.contributors = contributors;
-  round_log_.push_back(summary);
-}
-
-void FleetStats::OnParticipantOutcome(SimTime t, RoundId round,
-                                      DeviceId device,
-                                      protocol::ParticipantOutcome outcome) {
-  (void)device;
-  RoundParticipantCounts& c = per_round_[round];
-  switch (outcome) {
-    case protocol::ParticipantOutcome::kCompleted:
-      ++c.completed;
-      completions_.Add(t);
-      break;
-    case protocol::ParticipantOutcome::kAborted:
-    case protocol::ParticipantOutcome::kRejectedLate:
-      // Fig. 7's "aborted": work discarded because the server already had
-      // enough reports.
-      ++c.aborted;
-      break;
-    case protocol::ParticipantOutcome::kDropped:
-      ++c.dropped;
-      drops_.Add(t);
-      break;
+  protocol::ParticipantOutcome participant;
+  if (analytics::ParticipantOutcomeOf(e, &participant)) {
+    RoundParticipantCounts& c = per_round_[e.round];
+    switch (participant) {
+      case protocol::ParticipantOutcome::kCompleted:
+        ++c.completed;
+        completions_.Add(e.at);
+        break;
+      case protocol::ParticipantOutcome::kAborted:
+      case protocol::ParticipantOutcome::kRejectedLate:
+        // Fig. 7's "aborted": work discarded because the server already had
+        // enough reports.
+        ++c.aborted;
+        break;
+      case protocol::ParticipantOutcome::kDropped:
+        ++c.dropped;
+        drops_.Add(e.at);
+        break;
+    }
+    return;
   }
-}
-
-void FleetStats::OnRoundTiming(SimTime t, RoundId round,
-                               Duration selection_duration,
-                               Duration round_duration) {
-  (void)t;
-  selection_duration_.Add(selection_duration.Minutes());
-  round_duration_.Add(round_duration.Minutes());
-  // Patch the matching log row (outcome is reported just before timing).
-  for (auto it = round_log_.rbegin(); it != round_log_.rend(); ++it) {
-    if (it->round == round) {
-      it->selection_duration = selection_duration;
-      it->round_duration = round_duration;
-      it->has_timing = true;
+  switch (e.kind) {
+    case JournalEventKind::kRoundOutcome: {
+      RoundSummary summary;
+      summary.round = e.round;
+      summary.at = e.at;
+      summary.outcome = e.outcome;
+      summary.contributors = e.count;
+      if (e.outcome == protocol::RoundOutcome::kCommitted) {
+        ++rounds_committed_;
+        round_completions_.Add(e.at);
+        selection_duration_.Add(e.selection_duration.Minutes());
+        round_duration_.Add(e.round_duration.Minutes());
+        summary.selection_duration = e.selection_duration;
+        summary.round_duration = e.round_duration;
+        summary.has_timing = true;
+      } else {
+        ++rounds_abandoned_;
+        round_failures_.Add(e.at);
+      }
+      round_log_.push_back(summary);
       break;
     }
+    case JournalEventKind::kMasterAccepted:
+      ++accepted_;
+      break;
+    case JournalEventKind::kCheckinRejected:
+      ++rejected_;
+      break;
+    case JournalEventKind::kDownload:
+    case JournalEventKind::kUpload: {
+      if (e.bytes == 0) break;
+      const bool down = e.kind == JournalEventKind::kDownload;
+      (down ? download_ : upload_).Add(e.at, static_cast<double>(e.bytes));
+      (down ? total_download_ : total_upload_) += e.bytes;
+      break;
+    }
+    default:
+      break;
   }
-}
-
-void FleetStats::OnDeviceAccepted(SimTime t) {
-  (void)t;
-  ++accepted_;
-}
-
-void FleetStats::OnDeviceRejected(SimTime t) {
-  (void)t;
-  ++rejected_;
-}
-
-void FleetStats::OnTraffic(SimTime t, std::uint64_t download_bytes,
-                           std::uint64_t upload_bytes) {
-  if (download_bytes > 0) {
-    download_.Add(t, static_cast<double>(download_bytes));
-    total_download_ += download_bytes;
-  }
-  if (upload_bytes > 0) {
-    upload_.Add(t, static_cast<double>(upload_bytes));
-    total_upload_ += upload_bytes;
-  }
-}
-
-void FleetStats::OnError(SimTime t, const std::string& what) {
-  ++errors_;
-  // Expected operational noise (drop-outs, aborted secagg groups) stays at
-  // INFO; the error *counter* is what monitors consume (Sec. 5).
-  FL_LOG(Info) << "[" << FormatSimTime(t) << "] server error: " << what;
 }
 
 void FleetStats::OnDeviceStateChange(analytics::DeviceState from,
@@ -127,11 +113,6 @@ void FleetStats::OnSessionTrace(const analytics::SessionTrace& trace) {
 
 void FleetStats::OnParticipationTime(Duration d) {
   participation_.Add(d.Minutes());
-}
-
-void FleetStats::OnDeviceDrop(SimTime t, RoundId round, DeviceId device) {
-  OnParticipantOutcome(t, round, device,
-                       protocol::ParticipantOutcome::kDropped);
 }
 
 void FleetStats::SampleStates(SimTime t) {

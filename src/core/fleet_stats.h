@@ -1,16 +1,17 @@
 // FleetStats: the analytics layer of the deployment (Sec. 5), implemented
-// over src/analytics primitives. It is both the ServerStatsSink the server
-// actors report into and the recorder device agents use, and it owns every
-// series the Fig. 5-9 / Table 1 benches read.
+// over src/analytics primitives. It folds every emitted Event (FLSystem
+// binds it to the deployment's EventBus) and is the recorder device agents
+// use for state occupancy and session shapes, and it owns every series the
+// Fig. 5-9 / Table 1 benches read.
 #pragma once
 
 #include <array>
 #include <map>
 
 #include "src/analytics/events.h"
+#include "src/analytics/journal.h"
 #include "src/analytics/monitor.h"
 #include "src/analytics/timeseries.h"
-#include "src/server/stats.h"
 
 namespace fl::core {
 
@@ -32,31 +33,20 @@ struct RoundSummary {
   bool has_timing = false;
 };
 
-class FleetStats final : public server::ServerStatsSink {
+class FleetStats final {
  public:
   FleetStats(SimTime start, Duration bucket);
 
-  // --- ServerStatsSink ---
-  void OnRoundOutcome(SimTime t, RoundId round,
-                      protocol::RoundOutcome outcome,
-                      std::size_t contributors) override;
-  void OnParticipantOutcome(SimTime t, RoundId round, DeviceId device,
-                            protocol::ParticipantOutcome outcome) override;
-  void OnRoundTiming(SimTime t, RoundId round, Duration selection_duration,
-                     Duration round_duration) override;
-  void OnDeviceAccepted(SimTime t) override;
-  void OnDeviceRejected(SimTime t) override;
-  void OnTraffic(SimTime t, std::uint64_t download_bytes,
-                 std::uint64_t upload_bytes) override;
-  void OnError(SimTime t, const std::string& what) override;
+  // Folds one emitted fact: round outcomes (with timing when committed),
+  // participant outcomes (server- and device-observed), master accepts,
+  // check-in rejections, traffic and server errors.
+  void OnEvent(const analytics::Event& e);
 
   // --- Device-side recorders ---
   void OnDeviceStateChange(analytics::DeviceState from,
                            analytics::DeviceState to);
   void OnSessionTrace(const analytics::SessionTrace& trace);
   void OnParticipationTime(Duration d);
-  // Device-observed drop (interruption / network failure mid-round).
-  void OnDeviceDrop(SimTime t, RoundId round, DeviceId device);
 
   // Samples current device-state occupancy into the per-state series.
   void SampleStates(SimTime t);

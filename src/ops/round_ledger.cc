@@ -1,107 +1,80 @@
 #include "src/ops/round_ledger.h"
 
+#include "src/analytics/emit.h"
 #include "src/common/json_writer.h"
 
 namespace fl::ops {
 
-RoundLedger::RoundLedger(server::ServerStatsSink* inner, std::size_t capacity)
-    : inner_(inner), capacity_(capacity == 0 ? 1 : capacity) {}
+RoundLedger::RoundLedger(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void RoundLedger::OnRoundOutcome(SimTime t, RoundId round,
-                                 protocol::RoundOutcome outcome,
-                                 std::size_t contributors) {
-  if (inner_ != nullptr) inner_->OnRoundOutcome(t, round, outcome, contributors);
-  if (enabled()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    RoundRecord rec;
-    if (auto it = open_.find(round.value); it != open_.end()) {
-      rec = it->second;
-      open_.erase(it);
+void RoundLedger::OnEvent(const analytics::Event& e) {
+  if (!analytics::IsServerSource(e.source)) return;
+  if (e.kind == analytics::JournalEventKind::kRoundOutcome) {
+    if (enabled()) RecordOutcome(e);
+    // After the ledger update (so a bundle capture sees this round) and
+    // outside the lock (so the observer may read the ledger).
+    if (e.outcome != protocol::RoundOutcome::kCommitted && on_abandoned_) {
+      on_abandoned_(e.at, e.round, e.outcome);
     }
-    rec.round = round;
-    rec.finished_at = t;
-    rec.outcome = outcome;
-    rec.contributors = contributors;
-    if (outcome == protocol::RoundOutcome::kCommitted) {
-      ++totals_.rounds_committed;
-    } else {
-      ++totals_.rounds_abandoned;
-    }
-    finished_.push_back(rec);
-    while (finished_.size() > capacity_) finished_.pop_front();
+    return;
   }
-  // After the ledger update (so a bundle capture sees this round) and
-  // outside the lock (so the observer may read the ledger).
-  if (outcome != protocol::RoundOutcome::kCommitted && on_abandoned_) {
-    on_abandoned_(t, round, outcome);
-  }
-}
-
-void RoundLedger::OnParticipantOutcome(SimTime t, RoundId round,
-                                       DeviceId device,
-                                       protocol::ParticipantOutcome outcome) {
-  if (inner_ != nullptr) inner_->OnParticipantOutcome(t, round, device, outcome);
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  // Late rejections can land after the round closed; update the finished
-  // record if it is still retained, else the open (or freshly-staged) one.
-  RoundRecord* rec = FindFinishedLocked(round);
-  if (rec == nullptr) {
-    rec = &open_[round.value];
-    rec->round = round;
+  if (analytics::IsServerError(e)) ++totals_.errors;
+  protocol::ParticipantOutcome participant;
+  if (analytics::ParticipantOutcomeOf(e, &participant)) {
+    // Late rejections can land after the round closed; update the finished
+    // record if it is still retained, else the open (or freshly-staged) one.
+    RoundRecord* rec = FindFinishedLocked(e.round);
+    if (rec == nullptr) {
+      rec = &open_[e.round.value];
+      rec->round = e.round;
+    }
+    switch (participant) {
+      case protocol::ParticipantOutcome::kCompleted: ++rec->completed; break;
+      case protocol::ParticipantOutcome::kAborted: ++rec->aborted; break;
+      case protocol::ParticipantOutcome::kDropped: ++rec->dropped; break;
+      case protocol::ParticipantOutcome::kRejectedLate:
+        ++rec->rejected_late;
+        break;
+    }
+    return;
   }
-  switch (outcome) {
-    case protocol::ParticipantOutcome::kCompleted: ++rec->completed; break;
-    case protocol::ParticipantOutcome::kAborted: ++rec->aborted; break;
-    case protocol::ParticipantOutcome::kDropped: ++rec->dropped; break;
-    case protocol::ParticipantOutcome::kRejectedLate:
-      ++rec->rejected_late;
+  switch (e.kind) {
+    case analytics::JournalEventKind::kMasterAccepted:
+      ++totals_.checkins_accepted;
+      break;
+    case analytics::JournalEventKind::kCheckinRejected:
+      ++totals_.checkins_rejected;
+      break;
+    default:
       break;
   }
 }
 
-void RoundLedger::OnRoundTiming(SimTime t, RoundId round,
-                                Duration selection_duration,
-                                Duration round_duration) {
-  if (inner_ != nullptr) {
-    inner_->OnRoundTiming(t, round, selection_duration, round_duration);
+void RoundLedger::RecordOutcome(const analytics::Event& e) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (analytics::IsServerError(e)) ++totals_.errors;  // a failed round
+  RoundRecord rec;
+  if (auto it = open_.find(e.round.value); it != open_.end()) {
+    rec = it->second;
+    open_.erase(it);
   }
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  RoundRecord* rec = FindFinishedLocked(round);
-  if (rec == nullptr) {
-    rec = &open_[round.value];
-    rec->round = round;
+  rec.round = e.round;
+  rec.finished_at = e.at;
+  rec.outcome = e.outcome;
+  rec.contributors = e.count;
+  if (e.outcome == protocol::RoundOutcome::kCommitted) {
+    ++totals_.rounds_committed;
+    rec.selection_duration = e.selection_duration;
+    rec.round_duration = e.round_duration;
+    rec.has_timing = true;
+  } else {
+    ++totals_.rounds_abandoned;
   }
-  rec->selection_duration = selection_duration;
-  rec->round_duration = round_duration;
-  rec->has_timing = true;
-}
-
-void RoundLedger::OnDeviceAccepted(SimTime t) {
-  if (inner_ != nullptr) inner_->OnDeviceAccepted(t);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++totals_.checkins_accepted;
-}
-
-void RoundLedger::OnDeviceRejected(SimTime t) {
-  if (inner_ != nullptr) inner_->OnDeviceRejected(t);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++totals_.checkins_rejected;
-}
-
-void RoundLedger::OnTraffic(SimTime t, std::uint64_t download_bytes,
-                            std::uint64_t upload_bytes) {
-  if (inner_ != nullptr) inner_->OnTraffic(t, download_bytes, upload_bytes);
-}
-
-void RoundLedger::OnError(SimTime t, const std::string& what) {
-  if (inner_ != nullptr) inner_->OnError(t, what);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++totals_.errors;
+  finished_.push_back(rec);
+  while (finished_.size() > capacity_) finished_.pop_front();
 }
 
 RoundLedger::Totals RoundLedger::totals() const {

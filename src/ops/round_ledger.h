@@ -1,13 +1,11 @@
-// Per-round ledger for the /rounds endpoint: a ServerStatsSink tee that
-// keeps the last K finished rounds as structured records (phase durations,
-// contributor counts, per-participant outcome tallies, checkin
-// accept/reject totals) while forwarding every event to the wrapped sink
-// unchanged.
+// Per-round ledger for the /rounds endpoint: a fold over the emitted Events
+// that keeps the last K finished rounds as structured records (phase
+// durations, contributor counts, per-participant outcome tallies, checkin
+// accept/reject totals).
 //
-// Sits in the existing sink chain (actors -> TelemetryStatsSink ->
-// RoundLedger -> FleetStats) and is disabled by default: with the ops plane
-// off, every callback is one branch plus the forward, which is what the
-// <=2% overhead gate in bench_ops_plane measures.
+// FLSystem binds it to the deployment's EventBus next to FleetStats. It is
+// disabled by default: with the ops plane off, every event costs one
+// branch, which is what the <=2% overhead gate in bench_ops_plane measures.
 #pragma once
 
 #include <atomic>
@@ -19,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "src/server/stats.h"
+#include "src/analytics/journal.h"
 
 namespace fl::ops {
 
@@ -38,14 +36,13 @@ struct RoundRecord {
   std::size_t rejected_late = 0;
 };
 
-class RoundLedger final : public server::ServerStatsSink {
+class RoundLedger final {
  public:
-  // `inner` may be null; `capacity` bounds the retained finished rounds.
-  explicit RoundLedger(server::ServerStatsSink* inner = nullptr,
-                       std::size_t capacity = 256);
+  // `capacity` bounds the retained finished rounds.
+  explicit RoundLedger(std::size_t capacity = 256);
 
   // Recording is off until enabled (FLSystem enables it with the ops
-  // plane); forwarding to the inner sink always happens.
+  // plane).
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_release);
   }
@@ -62,18 +59,8 @@ class RoundLedger final : public server::ServerStatsSink {
     on_abandoned_ = std::move(observer);
   }
 
-  void OnRoundOutcome(SimTime t, RoundId round,
-                      protocol::RoundOutcome outcome,
-                      std::size_t contributors) override;
-  void OnParticipantOutcome(SimTime t, RoundId round, DeviceId device,
-                            protocol::ParticipantOutcome outcome) override;
-  void OnRoundTiming(SimTime t, RoundId round, Duration selection_duration,
-                     Duration round_duration) override;
-  void OnDeviceAccepted(SimTime t) override;
-  void OnDeviceRejected(SimTime t) override;
-  void OnTraffic(SimTime t, std::uint64_t download_bytes,
-                 std::uint64_t upload_bytes) override;
-  void OnError(SimTime t, const std::string& what) override;
+  // Folds one server-side fact (device-observed ones are skipped).
+  void OnEvent(const analytics::Event& e);
 
   // Cumulative totals since enable (checkin accept/reject, commit/abandon).
   struct Totals {
@@ -97,14 +84,14 @@ class RoundLedger final : public server::ServerStatsSink {
   // Finds a finished round by id (newest first); nullptr when evicted.
   RoundRecord* FindFinishedLocked(RoundId round);
 
-  server::ServerStatsSink* inner_;
+  void RecordOutcome(const analytics::Event& e);
+
   const std::size_t capacity_;
   std::atomic<bool> enabled_{false};
   AbandonedObserver on_abandoned_;
 
   mutable std::mutex mu_;
   // Participant tallies for rounds that have not reported an outcome yet.
-  // Timing can also arrive before the outcome, so stage it here too.
   std::map<std::uint64_t, RoundRecord> open_;
   std::deque<RoundRecord> finished_;  // oldest at front
   Totals totals_;

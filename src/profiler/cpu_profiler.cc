@@ -80,6 +80,10 @@ inline Ring* ThisThreadRing() {
 // ---------------------------------------------------------------------------
 constexpr std::uintptr_t kMaxStackSpan = std::uintptr_t{8} << 20;
 
+// The walk reads other frames' stack words on purpose, including slots
+// ASan has poisoned as out of scope in the interrupted frame, so it is
+// exempt from ASan instrumentation, as stack walkers usually are.
+__attribute__((no_sanitize("address")))
 std::size_t UnwindFromContext(void* ucontext_raw,
                               std::uintptr_t* frames,
                               std::size_t max_frames,

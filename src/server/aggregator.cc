@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/analytics/flight_dump.h"
-#include "src/analytics/journal.h"
 #include "src/common/logging.h"
 #include "src/fedavg/codec.h"
 #include "src/telemetry/trace_context.h"
@@ -19,15 +18,17 @@ const T* Cast(const actor::Envelope& env) {
 
 }  // namespace
 
-void AggregatorActor::JournalReport(const DeviceLink& link,
-                                    analytics::JournalEventKind kind,
-                                    std::string detail) {
-  analytics::AppendJournal(Now(), analytics::JournalSource::kAggregator, kind,
-                           link.device, link.session, init_.round,
-                           std::move(detail));
+void AggregatorActor::Emit(analytics::Event e) {
+  e.at = Now();
+  e.source = analytics::JournalSource::kAggregator;
+  e.round = init_.round;
+  init_.context->events->Emit(e);
 }
 
-AggregatorActor::AggregatorActor(Init init) : init_(std::move(init)) {
+AggregatorActor::AggregatorActor(Init init)
+    : init_(std::move(init)),
+      codec_id_(analytics::InternCodec(
+          protocol::WireCodecName(init_.config.codec))) {
   FL_CHECK(init_.context != nullptr);
   FL_CHECK(init_.global_model != nullptr);
   accumulator_.emplace(init_.aggregation_op, *init_.global_model);
@@ -37,11 +38,6 @@ protocol::ReconnectWindow AggregatorActor::NextWindow() {
   return init_.context->pace->SuggestWindow(
       Now(), init_.context->estimated_population, Duration{},
       *init_.context->rng);
-}
-
-void AggregatorActor::RecordParticipant(DeviceId device,
-                                        protocol::ParticipantOutcome o) {
-  init_.context->stats->OnParticipantOutcome(Now(), init_.round, device, o);
 }
 
 void AggregatorActor::OnMessage(const actor::Envelope& env) {
@@ -146,18 +142,12 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     }();
     if (plan_it == init_.encoded_plans->end()) {
       // Device too old for every versioned plan: turn it away.
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kAggregator,
-          analytics::JournalEventKind::kCheckinRejected, link.device,
-          link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kRuntimeTooOld));
-      if (analytics::JournalEnabled()) {
-        JournalReport(link, analytics::JournalEventKind::kCheckinRejected,
-                      "reason=runtime_too_old");
-      }
+      Emit({.kind = analytics::JournalEventKind::kCheckinRejected,
+            .reason = analytics::FlightReason::kRuntimeTooOld,
+            .device = link.device,
+            .session = link.session});
       link.reject(RejectionNotice{NextWindow(),
                                   analytics::FlightReason::kRuntimeTooOld});
-      init_.context->stats->OnDeviceRejected(Now());
       continue;
     }
 
@@ -196,31 +186,20 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
       assignment.codec = init_.config.codec;
     }
     devices_.emplace(link.device, std::move(entry));
-    init_.context->stats->OnTraffic(
-        Now(), plan_it->second.bytes->size() + init_.model_bytes->size(), 0);
+    Emit({.kind = analytics::JournalEventKind::kDownload,
+          .bytes = plan_it->second.bytes->size() + init_.model_bytes->size()});
     link.assign(assignment);
   }
 }
 
 void AggregatorActor::HandleReport(const DeviceReport& report) {
   const auto it = devices_.find(report.device);
-  init_.context->stats->OnTraffic(Now(), 0, report.upload_wire_bytes);
+  Emit({.kind = analytics::JournalEventKind::kUpload,
+        .bytes = report.upload_wire_bytes});
   if (it == devices_.end()) return;  // not ours
   if (flushed_ || it->second.state != DeviceStateTag::kAssigned) {
     // Reporting window closed — '#' in the session shape (Table 1).
-    analytics::RecordFlight(
-        Now(), analytics::JournalSource::kAggregator,
-        analytics::JournalEventKind::kReportRejected, report.device,
-        it->second.link.session, init_.round, 0,
-        static_cast<std::uint16_t>(analytics::FlightReason::kLate));
-    if (analytics::JournalEnabled()) {
-      JournalReport(it->second.link,
-                    analytics::JournalEventKind::kReportRejected,
-                    "reason=late");
-    }
-    it->second.link.report_ack(ReportAck{false, NextWindow()});
-    RecordParticipant(report.device,
-                      protocol::ParticipantOutcome::kRejectedLate);
+    RejectReport(it->second, analytics::FlightReason::kLate);
     return;
   }
 
@@ -238,40 +217,15 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
       return init_.global_model->Unflatten(*flat);
     }();
     if (!update.ok()) {
-      init_.context->stats->OnError(Now(), "corrupt update: " +
-                                               update.status().ToString());
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kAggregator,
-          analytics::JournalEventKind::kReportRejected, report.device,
-          it->second.link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kCorrupt));
-      if (analytics::JournalEnabled()) {
-        JournalReport(it->second.link,
-                      analytics::JournalEventKind::kReportRejected,
-                      "reason=corrupt");
-      }
       it->second.state = DeviceStateTag::kClosed;
-      it->second.link.report_ack(ReportAck{false, NextWindow()});
-      RecordParticipant(report.device, protocol::ParticipantOutcome::kDropped);
+      RejectReport(it->second, analytics::FlightReason::kCorrupt);
       return;
     }
     const Status s = accumulator_->Accumulate(std::move(update).value(),
                                               report.weight, metrics);
     if (!s.ok()) {
-      init_.context->stats->OnError(Now(), s.ToString());
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kAggregator,
-          analytics::JournalEventKind::kReportRejected, report.device,
-          it->second.link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kAccumulate));
-      if (analytics::JournalEnabled()) {
-        JournalReport(it->second.link,
-                      analytics::JournalEventKind::kReportRejected,
-                      "reason=accumulate");
-      }
       it->second.state = DeviceStateTag::kClosed;
-      it->second.link.report_ack(ReportAck{false, NextWindow()});
-      RecordParticipant(report.device, protocol::ParticipantOutcome::kDropped);
+      RejectReport(it->second, analytics::FlightReason::kAccumulate);
       return;
     }
   } else {
@@ -283,30 +237,34 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
   it->second.state = DeviceStateTag::kReported;
   ++accepted_;
   accepted_wire_bytes_ += report.upload_wire_bytes;
-  analytics::RecordFlight(Now(), analytics::JournalSource::kAggregator,
-                          analytics::JournalEventKind::kReportAccepted,
-                          report.device, it->second.link.session, init_.round);
-  if (analytics::JournalEnabled()) {
-    JournalReport(it->second.link,
-                  analytics::JournalEventKind::kReportAccepted,
-                  "weight=" + std::to_string(report.weight) +
-                      " wire_bytes=" +
-                      std::to_string(report.upload_wire_bytes) + " codec=" +
-                      protocol::WireCodecName(init_.config.codec));
-  }
+  Emit({.kind = analytics::JournalEventKind::kReportAccepted,
+        .codec = codec_id_,
+        .device = report.device,
+        .session = it->second.link.session,
+        .bytes = report.upload_wire_bytes});
   it->second.link.report_ack(ReportAck{true, NextWindow()});
-  RecordParticipant(report.device, protocol::ParticipantOutcome::kCompleted);
   Send(init_.master, MsgReportingProgress{id(), accepted_, accepted_wire_bytes_,
                                           metrics, true});
 }
 
+void AggregatorActor::RejectReport(DeviceEntry& entry,
+                                   analytics::FlightReason reason) {
+  Emit({.kind = analytics::JournalEventKind::kReportRejected,
+        .reason = reason,
+        .device = entry.link.device,
+        .session = entry.link.session});
+  entry.link.report_ack(ReportAck{false, NextWindow()});
+}
+
 void AggregatorActor::CloseRemaining(const std::string& reason,
-                                     protocol::ParticipantOutcome outcome) {
+                                     analytics::JournalEventKind outcome) {
   for (auto& [device, entry] : devices_) {
     if (entry.state == DeviceStateTag::kAssigned) {
       entry.state = DeviceStateTag::kClosed;
       entry.link.closed(ConnectionClosed{reason});
-      RecordParticipant(device, outcome);
+      Emit({.kind = outcome,
+            .device = device,
+            .session = entry.link.session});
     }
   }
 }
@@ -319,7 +277,7 @@ void AggregatorActor::HandleFlush() {
     if (secagg_phase_ <= 1) {
       // Nothing committed yet; the secure aggregate is unrecoverable.
       CloseRemaining("round flushed before secagg commit",
-                     protocol::ParticipantOutcome::kAborted);
+                     analytics::JournalEventKind::kParticipantAborted);
       FinishAndReport(false, "flushed before commit");
     }
     // Phases 2/3 continue to completion via their own timers.
@@ -357,12 +315,12 @@ void AggregatorActor::FinishAndReport(bool ok, const std::string& error) {
 
 void AggregatorActor::HandleSecAggAdvertise(const SecAggAdvertiseMsg& msg) {
   if (!secagg_ || secagg_phase_ != 0) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  Emit({.kind = analytics::JournalEventKind::kUpload, .bytes = msg.upload_wire_bytes});
   const auto it = devices_.find(msg.device);
   if (it == devices_.end()) return;
   const Status s = secagg_->CollectAdvertisement(msg.advertisement);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     return;
   }
   // Everyone answered: no need to wait out the timer window.
@@ -386,9 +344,9 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
   if (secagg_phase_ != 0) return;
   auto directory = secagg_->FinishAdvertising();
   if (!directory.ok()) {
-    init_.context->stats->OnError(Now(), directory.status().ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     CloseRemaining("secagg advertise failed",
-                   protocol::ParticipantOutcome::kDropped);
+                   analytics::JournalEventKind::kParticipantDropped);
     FinishAndReport(false, directory.status().ToString());
     return;
   }
@@ -397,7 +355,7 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
     if (entry.state != DeviceStateTag::kAssigned) continue;
     if (directory->count(entry.secagg_index) == 0) continue;
     const std::size_t bytes = directory->size() * 24;
-    init_.context->stats->OnTraffic(Now(), bytes, 0);
+    Emit({.kind = analytics::JournalEventKind::kDownload, .bytes = bytes});
     entry.link.secagg_directory(SecAggDirectoryMsg{*directory});
   }
   SendAfter(init_.config.reporting_deadline / 4, id(),
@@ -406,10 +364,10 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
 
 void AggregatorActor::HandleSecAggShares(const SecAggShareKeysMsg& msg) {
   if (!secagg_ || secagg_phase_ != 1) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  Emit({.kind = analytics::JournalEventKind::kUpload, .bytes = msg.upload_wire_bytes});
   const Status s = secagg_->CollectShares(msg.message);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     return;
   }
   if (++secagg_shared_ == secagg_advertised_) {
@@ -421,9 +379,9 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
   if (secagg_phase_ != 1) return;
   auto u1 = secagg_->FinishSharing();
   if (!u1.ok()) {
-    init_.context->stats->OnError(Now(), u1.status().ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     CloseRemaining("secagg sharing failed",
-                   protocol::ParticipantOutcome::kDropped);
+                   analytics::JournalEventKind::kParticipantDropped);
     FinishAndReport(false, u1.status().ToString());
     return;
   }
@@ -439,7 +397,7 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
     out.u1 = *u1;
     std::size_t bytes = 16;
     for (const auto& sh : out.shares) bytes += sh.ciphertext.size() + 8;
-    init_.context->stats->OnTraffic(Now(), bytes, 0);
+    Emit({.kind = analytics::JournalEventKind::kDownload, .bytes = bytes});
     entry.link.secagg_shares(out);
   }
   // Commit phase runs until the round's reporting deadline.
@@ -449,33 +407,27 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
 
 void AggregatorActor::HandleSecAggMasked(const SecAggMaskedInputMsg& msg) {
   if (!secagg_ || secagg_phase_ != 2) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  Emit({.kind = analytics::JournalEventKind::kUpload, .bytes = msg.upload_wire_bytes});
   const auto it = devices_.find(msg.device);
   if (it == devices_.end()) return;
   const Status s = secagg_->CollectMaskedInput(msg.input);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     return;
   }
   it->second.metrics = msg.metrics;  // plaintext metrics; sums stay masked
   it->second.state = DeviceStateTag::kReported;
   ++accepted_;
   accepted_wire_bytes_ += msg.upload_wire_bytes;
-  analytics::RecordFlight(Now(), analytics::JournalSource::kAggregator,
-                          analytics::JournalEventKind::kReportAccepted,
-                          msg.device, it->second.link.session, init_.round,
-                          /*aux_a=*/1);
-  if (analytics::JournalEnabled()) {
-    // Tagged mode=secagg: masked inputs may legally commit after the round's
-    // closing phase (HandleFlush lets phases 2/3 run to completion), so the
-    // analyzer's accept-after-close invariant exempts these records.
-    JournalReport(it->second.link,
-                  analytics::JournalEventKind::kReportAccepted,
-                  "mode=secagg wire_bytes=" +
-                      std::to_string(msg.upload_wire_bytes));
-  }
+  // count=1 tags the accept mode=secagg: masked inputs may legally commit
+  // after the round's closing phase (HandleFlush lets phases 2/3 run to
+  // completion), so the analyzer's accept-after-close invariant exempts them.
+  Emit({.kind = analytics::JournalEventKind::kReportAccepted,
+        .count = 1,
+        .device = msg.device,
+        .session = it->second.link.session,
+        .bytes = msg.upload_wire_bytes});
   it->second.link.report_ack(ReportAck{true, NextWindow()});
-  RecordParticipant(msg.device, protocol::ParticipantOutcome::kCompleted);
   Send(init_.master,
        MsgReportingProgress{id(), accepted_, accepted_wire_bytes_,
                             it->second.metrics, true});
@@ -488,9 +440,9 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
   if (secagg_phase_ != 2) return;
   auto request = secagg_->FinishCommit();
   if (!request.ok()) {
-    init_.context->stats->OnError(Now(), request.status().ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     CloseRemaining("secagg commit failed",
-                   protocol::ParticipantOutcome::kDropped);
+                   analytics::JournalEventKind::kParticipantDropped);
     FinishAndReport(false, request.status().ToString());
     return;
   }
@@ -501,8 +453,8 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
         std::find(request->survivors.begin(), request->survivors.end(),
                   entry.secagg_index) != request->survivors.end();
     if (!survivor) continue;
-    init_.context->stats->OnTraffic(
-        Now(), 8 * (request->dropped.size() + request->survivors.size()), 0);
+    Emit({.kind = analytics::JournalEventKind::kDownload,
+          .bytes = 8 * (request->dropped.size() + request->survivors.size())});
     entry.link.secagg_unmask(SecAggUnmaskMsg{*request});
   }
   SendAfter(init_.config.reporting_deadline / 4, id(),
@@ -511,10 +463,10 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
 
 void AggregatorActor::HandleSecAggUnmask(const SecAggUnmaskResponseMsg& msg) {
   if (!secagg_ || secagg_phase_ != 3) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  Emit({.kind = analytics::JournalEventKind::kUpload, .bytes = msg.upload_wire_bytes});
   const Status s = secagg_->CollectUnmaskingResponse(msg.response);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     return;
   }
   // Finalize as soon as every survivor answered; the timer handles the
@@ -527,9 +479,9 @@ void AggregatorActor::HandleSecAggUnmask(const SecAggUnmaskResponseMsg& msg) {
 void AggregatorActor::FinalizeSecAgg() {
   if (secagg_phase_ != 3 || reported_to_master_) return;
   auto sum = secagg_->Finalize();
-  CloseRemaining("secagg round over", protocol::ParticipantOutcome::kAborted);
+  CloseRemaining("secagg round over", analytics::JournalEventKind::kParticipantAborted);
   if (!sum.ok()) {
-    init_.context->stats->OnError(Now(), sum.status().ToString());
+    Emit({.kind = analytics::JournalEventKind::kServerError});
     FinishAndReport(false, sum.status().ToString());
     return;
   }

@@ -66,16 +66,18 @@ class AggregatorActor final : public actor::Actor {
   void AdvanceSecAggAfterCommit();
   void FinalizeSecAgg();
 
-  void RecordParticipant(DeviceId device, protocol::ParticipantOutcome o);
-  // Journals an aggregator-sourced accept/reject for a device report.
-  // Callers pre-check JournalEnabled().
-  void JournalReport(const DeviceLink& link, analytics::JournalEventKind kind,
-                     std::string detail);
+  // Stamps time, source and round on an aggregator fact and emits it.
+  void Emit(analytics::Event e);
+  // Emits the refusal of a device report and acks it negatively.
+  void RejectReport(DeviceEntry& entry, analytics::FlightReason reason);
   protocol::ReconnectWindow NextWindow();
+  // Closes every still-assigned link; `outcome` is kParticipantAborted or
+  // kParticipantDropped.
   void CloseRemaining(const std::string& reason,
-                      protocol::ParticipantOutcome outcome);
+                      analytics::JournalEventKind outcome);
 
   Init init_;
+  const std::uint8_t codec_id_;  // InternCodec of the round's wire codec
   std::map<DeviceId, DeviceEntry> devices_;
   std::optional<fedavg::FedAvgAccumulator> accumulator_;
   std::size_t accepted_ = 0;

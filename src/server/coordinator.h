@@ -80,6 +80,8 @@ class CoordinatorActor final : public actor::Actor {
   void StartRound(std::size_t task_index);
   void HandleComplete(const MsgRoundComplete& msg);
   void HandleAbandoned(const MsgRoundAbandoned& msg);
+  // Stamps time and source on a coordinator fact and emits it.
+  void Emit(analytics::Event e);
   void BroadcastQuota();
   void RefreshModelBytes();
   std::optional<std::size_t> NextDueTask() const;

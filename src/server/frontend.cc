@@ -24,9 +24,10 @@ bool ServerFrontend::CheckIn(const CheckInRequest& request, DeviceLink link) {
   // Attestation gate (Sec. 3): only genuine devices may participate.
   if (!attestation_->Verify(request.attestation)) {
     ++attestation_failures_;
-    context_->stats->OnError(system_->now(),
-                             "attestation failure from device " +
-                                 std::to_string(request.device.value));
+    context_->events->Emit({.at = system_->now(),
+                            .source = analytics::JournalSource::kFrontend,
+                            .kind = analytics::JournalEventKind::kServerError,
+                            .device = request.device});
     return false;
   }
   if (selectors_.empty()) return false;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/analytics/journal.h"
+#include "src/analytics/flight_dump.h"
 #include "src/server/aggregator.h"
 #include "src/telemetry/trace.h"
 
@@ -14,44 +14,30 @@ const T* Cast(const actor::Envelope& env) {
   return std::any_cast<T>(&env.payload);
 }
 
-void JournalRound(SimTime now, RoundId round,
-                  analytics::JournalEventKind kind, std::string detail) {
-  analytics::AppendJournal(now, analytics::JournalSource::kMaster, kind,
-                           DeviceId{}, SessionId{}, round, std::move(detail));
-}
-
 }  // namespace
 
 MasterAggregatorActor::MasterAggregatorActor(Init init)
-    : init_(std::move(init)) {
+    : init_(std::move(init)),
+      codec_id_(analytics::InternCodec(protocol::RoundCodecName(init_.config))) {
   FL_CHECK(init_.context != nullptr);
   combined_.emplace(init_.aggregation_op, *init_.global_model);
+}
+
+void MasterAggregatorActor::Emit(analytics::Event e) {
+  e.at = Now();
+  e.source = analytics::JournalSource::kMaster;
+  e.round = init_.round;
+  init_.context->events->Emit(e);
 }
 
 void MasterAggregatorActor::OnStart() {
   started_at_ = Now();
   OpenRoundSpans();
   const telemetry::ScopedTraceContext scope(RoundCtx());
-  analytics::RecordFlight(
-      Now(), analytics::JournalSource::kMaster,
-      analytics::JournalEventKind::kRoundOpen, DeviceId{}, SessionId{},
-      init_.round, static_cast<std::uint32_t>(init_.config.goal_count),
-      static_cast<std::uint16_t>(
-          std::min<std::size_t>(init_.config.MinReportCount(), 0xffff)));
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 0);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kRoundOpen,
-                 "task=" + std::to_string(init_.task.value) +
-                     " goal=" + std::to_string(init_.config.goal_count) +
-                     " target=" +
-                     std::to_string(init_.config.SelectionTarget()) +
-                     " min_report=" +
-                     std::to_string(init_.config.MinReportCount()));
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=selection");
-  }
+  Emit({.kind = analytics::JournalEventKind::kRoundOpen,
+        .count = static_cast<std::uint32_t>(init_.config.goal_count),
+        .min_report = MinReport()});
+  Emit({.kind = analytics::JournalEventKind::kPhase, .count = 0});
   SendAfter(init_.config.selection_timeout, id(),
             MsgSelectionTimeout{init_.round});
   // Ephemeral end of life: outlive the reporting window (plus straggler
@@ -82,9 +68,8 @@ void MasterAggregatorActor::OnMessage(const actor::Envelope& env) {
         BeginReporting();
       } else {
         Abandon(protocol::RoundOutcome::kAbandonedSelection,
-                "selection timeout with " +
-                    std::to_string(pending_links_.size()) + " devices",
-                analytics::FlightReason::kSelectionTimeout);
+                analytics::FlightReason::kSelectionTimeout,
+                pending_links_.size());
       }
     }
   } else if (const auto* m = Cast<MsgReportingDeadline>(env)) {
@@ -100,8 +85,7 @@ void MasterAggregatorActor::OnMessage(const actor::Envelope& env) {
   } else if (Cast<MsgSelfStop>(env) != nullptr) {
     if (phase_ != Phase::kDone) {
       Abandon(protocol::RoundOutcome::kAbandonedReporting,
-              "master end of life before completion",
-              analytics::FlightReason::kMasterEndOfLife);
+              analytics::FlightReason::kMasterEndOfLife, 0);
     }
     system().Stop(id());
   }
@@ -112,26 +96,12 @@ void MasterAggregatorActor::HandleForwarded(std::vector<DeviceLink> links) {
     if (phase_ != Phase::kSelection ||
         pending_links_.size() >= init_.config.SelectionTarget()) {
       // Over-selection target met; turn extras away with a retry window.
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kMaster,
-          analytics::JournalEventKind::kCheckinRejected, link.device,
-          link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kRoundFull));
-      if (analytics::JournalEnabled()) {
-        analytics::AppendJournal(
-            Now(), analytics::JournalSource::kMaster,
-            analytics::JournalEventKind::kCheckinRejected, link.device,
-            link.session, init_.round, "reason=round_full");
-      }
-      link.reject(RejectionNotice{
-          init_.context->pace->SuggestWindow(
-              Now(), init_.context->estimated_population, Duration{},
-              *init_.context->rng),
-          analytics::FlightReason::kRoundFull});
-      init_.context->stats->OnDeviceRejected(Now());
+      RejectLink(link, analytics::FlightReason::kRoundFull);
       continue;
     }
-    init_.context->stats->OnDeviceAccepted(Now());
+    Emit({.kind = analytics::JournalEventKind::kMasterAccepted,
+          .device = link.device,
+          .session = link.session});
     ++devices_received_;
     pending_links_.push_back(std::move(link));
   }
@@ -174,14 +144,7 @@ void MasterAggregatorActor::BeginReporting() {
   // Aggregator spawns, configure messages, and the reporting-deadline timer
   // below all inherit this round's context.
   const telemetry::ScopedTraceContext scope(RoundCtx());
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 1);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=configuration devices=" +
-                     std::to_string(pending_links_.size()));
-  }
+  Emit({.kind = analytics::JournalEventKind::kPhase, .count = 1});
   // The configuration phase (plan/model push to the cohort) is a single
   // simulated instant here: the span pair still marks the boundary between
   // the Sec. 2.2 windows in the trace.
@@ -231,14 +194,7 @@ void MasterAggregatorActor::BeginReporting() {
     tracer.End(config_span, Now());
     reporting_span_ = tracer.Begin("phase:reporting", Now(), round_span_);
   }
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 2);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=reporting aggregators=" +
-                     std::to_string(aggregators_.size()));
-  }
+  Emit({.kind = analytics::JournalEventKind::kPhase, .count = 2});
   SendAfter(init_.config.reporting_deadline, id(),
             MsgReportingDeadline{init_.round});
 }
@@ -264,13 +220,7 @@ void MasterAggregatorActor::FlushAll() {
   flushed_ = true;
   phase_ = Phase::kClosing;
   const telemetry::ScopedTraceContext scope(RoundCtx());
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 3);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=closing accepted=" + std::to_string(total_accepted_));
-  }
+  Emit({.kind = analytics::JournalEventKind::kPhase, .count = 3});
   for (const auto& [agg, st] : aggregators_) {
     if (!st.done) Send(agg, MsgFlush{});
   }
@@ -290,11 +240,9 @@ void MasterAggregatorActor::HandleAggregatorResult(
     const Status s = combined_->AccumulateSum(std::move(delta),
                                               msg.weight_sum,
                                               msg.contributors);
-    if (!s.ok()) {
-      init_.context->stats->OnError(Now(), s.ToString());
-    }
+    if (!s.ok()) Emit({.kind = analytics::JournalEventKind::kServerError});
   } else if (!msg.error.empty()) {
-    init_.context->stats->OnError(Now(), "aggregator failed: " + msg.error);
+    Emit({.kind = analytics::JournalEventKind::kServerError});
   }
   // The aggregator stays alive to '#'-reject its stragglers; it reaps
   // itself at end of life (MsgSelfStop).
@@ -313,7 +261,7 @@ void MasterAggregatorActor::HandleAggregatorDeath(ActorId who) {
     if (a != who) total_accepted_ += st.accepted;
   }
   it->second.accepted = 0;
-  init_.context->stats->OnError(Now(), "aggregator crashed; cohort lost");
+  Emit({.kind = analytics::JournalEventKind::kServerError});
   MaybeFinishRound();
 }
 
@@ -333,73 +281,51 @@ void MasterAggregatorActor::MaybeFinishRound() {
     done.selection_duration = configured_at_ - started_at_;
     done.round_duration = Now() - started_at_;
     CloseRoundSpans("committed", contributors);
-    analytics::RecordFlight(
-        Now(), analytics::JournalSource::kMaster,
-        analytics::JournalEventKind::kRoundCommit, DeviceId{}, SessionId{},
-        init_.round, static_cast<std::uint32_t>(contributors),
-        static_cast<std::uint16_t>(
-            std::min<std::size_t>(init_.config.MinReportCount(), 0xffff)));
-    if (analytics::JournalEnabled()) {
-      // wire_bytes sums the per-aggregator cumulative accepted upload bytes
-      // (crashed cohorts included), so it equals the sum of the journaled
-      // per-accept wire_bytes — fl_analyze checks that as an invariant.
-      std::uint64_t wire_bytes = 0;
-      for (const auto& [a, st] : aggregators_) wire_bytes += st.wire_bytes;
-      JournalRound(Now(), init_.round,
-                   analytics::JournalEventKind::kRoundCommit,
-                   "contributors=" + std::to_string(contributors) +
-                       " min_report=" +
-                       std::to_string(init_.config.MinReportCount()) +
-                       " wire_bytes=" + std::to_string(wire_bytes) +
-                       " codec=" + protocol::RoundCodecName(init_.config));
-    }
+    // wire_bytes sums the per-aggregator cumulative accepted upload bytes
+    // (crashed cohorts included), so it equals the sum of the journaled
+    // per-accept wire_bytes — fl_analyze checks that as an invariant.
+    std::uint64_t wire_bytes = 0;
+    for (const auto& [a, st] : aggregators_) wire_bytes += st.wire_bytes;
+    Emit({.kind = analytics::JournalEventKind::kRoundCommit,
+          .codec = codec_id_,
+          .count = static_cast<std::uint32_t>(contributors),
+          .min_report = MinReport(),
+          .bytes = wire_bytes});
     Send(init_.coordinator, std::move(done));
   } else {
     Abandon(protocol::RoundOutcome::kAbandonedReporting,
-            "only " + std::to_string(contributors) + " reports; need " +
-                std::to_string(init_.config.MinReportCount()),
-            analytics::FlightReason::kBelowMinReports);
+            analytics::FlightReason::kBelowMinReports, contributors);
   }
 }
 
+void MasterAggregatorActor::RejectLink(DeviceLink& link,
+                                       analytics::FlightReason reason) {
+  Emit({.kind = analytics::JournalEventKind::kCheckinRejected,
+        .reason = reason,
+        .device = link.device,
+        .session = link.session});
+  link.reject(RejectionNotice{
+      init_.context->pace->SuggestWindow(
+          Now(), init_.context->estimated_population, Duration{},
+          *init_.context->rng),
+      reason});
+}
+
 void MasterAggregatorActor::Abandon(protocol::RoundOutcome outcome,
-                                    const std::string& reason,
-                                    analytics::FlightReason flight_reason) {
+                                    analytics::FlightReason reason,
+                                    std::size_t count) {
   phase_ = Phase::kDone;
   const telemetry::ScopedTraceContext scope(RoundCtx());
   CloseRoundSpans(protocol::RoundOutcomeName(outcome),
                   combined_->contributions());
-  analytics::RecordFlight(
-      Now(), analytics::JournalSource::kMaster,
-      analytics::JournalEventKind::kRoundAbandoned, DeviceId{}, SessionId{},
-      init_.round, static_cast<std::uint32_t>(combined_->contributions()),
-      analytics::PackOutcomeReason(outcome, flight_reason));
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round,
-                 analytics::JournalEventKind::kRoundAbandoned,
-                 "outcome=" + std::string(protocol::RoundOutcomeName(outcome)) +
-                     " reason=" + reason);
-  }
+  Emit({.kind = analytics::JournalEventKind::kRoundAbandoned,
+        .reason = reason,
+        .outcome = outcome,
+        .count = static_cast<std::uint32_t>(count),
+        .min_report = MinReport()});
   // Turn away anything still buffered from selection.
   for (DeviceLink& link : pending_links_) {
-    analytics::RecordFlight(
-        Now(), analytics::JournalSource::kMaster,
-        analytics::JournalEventKind::kCheckinRejected, link.device,
-        link.session, init_.round, 0,
-        static_cast<std::uint16_t>(
-            analytics::FlightReason::kRoundAbandonedReject));
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          Now(), analytics::JournalSource::kMaster,
-          analytics::JournalEventKind::kCheckinRejected, link.device,
-          link.session, init_.round, "reason=round_abandoned");
-    }
-    link.reject(RejectionNotice{
-        init_.context->pace->SuggestWindow(
-            Now(), init_.context->estimated_population, Duration{},
-            *init_.context->rng),
-        analytics::FlightReason::kRoundAbandonedReject});
-    init_.context->stats->OnDeviceRejected(Now());
+    RejectLink(link, analytics::FlightReason::kRoundAbandonedReject);
   }
   pending_links_.clear();
   for (const auto& [agg, st] : aggregators_) {
@@ -410,7 +336,8 @@ void MasterAggregatorActor::Abandon(protocol::RoundOutcome outcome,
   msg.task = init_.task;
   msg.outcome = outcome;
   msg.reason = reason;
-  msg.flight_reason = flight_reason;
+  msg.count = static_cast<std::uint32_t>(count);
+  msg.min_report = MinReport();
   Send(init_.coordinator, std::move(msg));
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/actor/actor.h"
-#include "src/analytics/flight_dump.h"
 #include "src/fedavg/server_aggregate.h"
 #include "src/server/messages.h"
 #include "src/server/task.h"
@@ -58,8 +57,15 @@ class MasterAggregatorActor final : public actor::Actor {
   void HandleAggregatorDeath(ActorId who);
   void FlushAll();
   void MaybeFinishRound();
-  void Abandon(protocol::RoundOutcome outcome, const std::string& reason,
-               analytics::FlightReason flight_reason);
+  // `count` is what the loss reason counts (devices selected, reports).
+  void Abandon(protocol::RoundOutcome outcome, analytics::FlightReason reason,
+               std::size_t count);
+  void RejectLink(DeviceLink& link, analytics::FlightReason reason);
+  // Stamps time, source and round on a master fact and emits it.
+  void Emit(analytics::Event e);
+  std::uint32_t MinReport() const {
+    return static_cast<std::uint32_t>(init_.config.MinReportCount());
+  }
   // This round's causal context, installed around every send so timers,
   // aggregator spawns, and coordinator messages carry the round + its span.
   telemetry::TraceContext RoundCtx() const {
@@ -67,6 +73,7 @@ class MasterAggregatorActor final : public actor::Actor {
   }
 
   Init init_;
+  const std::uint8_t codec_id_;  // InternCodec of the round's codec name
   Phase phase_ = Phase::kSelection;
   SimTime started_at_;
   SimTime configured_at_;

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analytics/flight_dump.h"
+#include "src/analytics/journal.h"
 #include "src/common/bytes.h"
 #include "src/common/id.h"
 #include "src/device/attestation.h"
@@ -254,10 +254,11 @@ struct MsgRoundAbandoned {
   RoundId round;
   TaskId task;
   protocol::RoundOutcome outcome = protocol::RoundOutcome::kAbandonedSelection;
-  std::string reason;
-  // Structured twin of `reason` so the coordinator's flight record carries a
-  // decodable code instead of a free-form string.
-  analytics::FlightReason flight_reason = analytics::FlightReason::kOther;
+  analytics::FlightReason reason = analytics::FlightReason::kOther;
+  // What the reason counts, and the round's report minimum: the
+  // coordinator's outcome event renders the same loss text as the master's.
+  std::uint32_t count = 0;
+  std::uint32_t min_report = 0;
 };
 
 // Coordinator self-tick.

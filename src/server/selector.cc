@@ -1,8 +1,5 @@
 #include "src/server/selector.h"
 
-#include "src/analytics/flight_dump.h"
-#include "src/analytics/journal.h"
-
 namespace fl::server {
 namespace {
 
@@ -54,18 +51,13 @@ void SelectorActor::OnMessage(const actor::Envelope& env) {
 void SelectorActor::RejectLink(const DeviceLink& link,
                                analytics::FlightReason reason) {
   ++total_rejected_;
-  init_.context->stats->OnDeviceRejected(Now());
-  analytics::RecordFlight(Now(), analytics::JournalSource::kSelector,
-                          analytics::JournalEventKind::kCheckinRejected,
-                          link.device, link.session, RoundId{}, 0,
-                          static_cast<std::uint16_t>(reason));
-  if (analytics::JournalEnabled()) {
-    analytics::AppendJournal(
-        Now(), analytics::JournalSource::kSelector,
-        analytics::JournalEventKind::kCheckinRejected, link.device,
-        link.session, RoundId{},
-        std::string("reason=") + analytics::FlightReasonName(reason));
-  }
+  init_.context->events->Emit(
+      {.at = Now(),
+       .source = analytics::JournalSource::kSelector,
+       .kind = analytics::JournalEventKind::kCheckinRejected,
+       .reason = reason,
+       .device = link.device,
+       .session = link.session});
   link.reject(RejectionNotice{
       init_.context->pace->SuggestWindow(Now(),
                                          init_.context->estimated_population,
@@ -81,14 +73,12 @@ void SelectorActor::HandleArrival(const MsgDeviceArrived& msg) {
     return;
   }
   ++total_accepted_;
-  analytics::RecordFlight(Now(), analytics::JournalSource::kSelector,
-                          analytics::JournalEventKind::kCheckinAccepted,
-                          msg.link.device, msg.link.session);
-  if (analytics::JournalEnabled()) {
-    analytics::AppendJournal(Now(), analytics::JournalSource::kSelector,
-                             analytics::JournalEventKind::kCheckinAccepted,
-                             msg.link.device, msg.link.session);
-  }
+  init_.context->events->Emit(
+      {.at = Now(),
+       .source = analytics::JournalSource::kSelector,
+       .kind = analytics::JournalEventKind::kCheckinAccepted,
+       .device = msg.link.device,
+       .session = msg.link.session});
   waiting_.push_back(msg.link);
 }
 

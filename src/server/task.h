@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analytics/emit.h"
 #include "src/common/id.h"
 #include "src/common/rng.h"
 #include "src/plan/versioning.h"
@@ -13,7 +14,6 @@
 #include "src/protocol/round_config.h"
 #include "src/server/lock_service.h"
 #include "src/server/model_store.h"
-#include "src/server/stats.h"
 
 namespace fl::server {
 
@@ -48,7 +48,8 @@ PlansByVersion EncodePlanSet(const plan::VersionedPlanSet& plans);
 struct ServerContext {
   LockService* locks = nullptr;
   ModelStore* model_store = nullptr;
-  ServerStatsSink* stats = nullptr;
+  // Every server fact goes out through events->Emit (Sec. 5 analytics).
+  const analytics::EventBus* events = nullptr;
   const protocol::PaceSteeringPolicy* pace = nullptr;
   Rng* rng = nullptr;  // server-side randomness (single-threaded sim use)
   std::size_t estimated_population = 0;  // updated by the embedder

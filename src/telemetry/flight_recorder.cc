@@ -50,7 +50,8 @@ FlightRecorder::Ring* FlightRecorder::ThisThreadRing() {
 void FlightRecorder::Record(std::uint8_t source, std::uint8_t kind,
                             std::uint64_t sim_ms, std::uint64_t device,
                             std::uint64_t session, std::uint64_t round,
-                            std::uint32_t aux_a, std::uint16_t aux_b) {
+                            std::uint32_t aux_a, std::uint16_t aux_b,
+                            std::uint64_t aux_c) {
   Ring* ring = ThisThreadRing();
   if (ring == nullptr) return;  // > kMaxThreads writers; drop
   const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -67,7 +68,7 @@ void FlightRecorder::Record(std::uint8_t source, std::uint8_t kind,
   const std::size_t slot = ring->write_index++ % kSlotsPerThread;
   std::atomic<std::uint64_t>* w = &ring->words[slot * kWordsPerSlot];
   // Single-writer seqlock: invalidate, payload (relaxed), publish (release).
-  w[6].store(0, std::memory_order_release);
+  w[7].store(0, std::memory_order_release);
   w[0].store(sim_ms, std::memory_order_relaxed);
   w[1].store(wall, std::memory_order_relaxed);
   w[2].store(device, std::memory_order_relaxed);
@@ -78,13 +79,14 @@ void FlightRecorder::Record(std::uint8_t source, std::uint8_t kind,
                  (static_cast<std::uint64_t>(source) << 48) |
                  (static_cast<std::uint64_t>(kind) << 56),
              std::memory_order_relaxed);
-  w[6].store(seq, std::memory_order_release);
+  w[6].store(aux_c, std::memory_order_relaxed);
+  w[7].store(seq, std::memory_order_release);
 }
 
 bool FlightRecorder::ReadSlot(const Ring& ring, std::size_t slot,
                               FlightRecord* out) {
   const std::atomic<std::uint64_t>* w = &ring.words[slot * kWordsPerSlot];
-  const std::uint64_t s1 = w[6].load(std::memory_order_acquire);
+  const std::uint64_t s1 = w[7].load(std::memory_order_acquire);
   if (s1 == 0) return false;
   out->sim_ms = w[0].load(std::memory_order_relaxed);
   out->wall_us = w[1].load(std::memory_order_relaxed);
@@ -92,8 +94,9 @@ bool FlightRecorder::ReadSlot(const Ring& ring, std::size_t slot,
   out->session = w[3].load(std::memory_order_relaxed);
   out->round = w[4].load(std::memory_order_relaxed);
   const std::uint64_t packed = w[5].load(std::memory_order_relaxed);
+  out->aux_c = w[6].load(std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint64_t s2 = w[6].load(std::memory_order_relaxed);
+  const std::uint64_t s2 = w[7].load(std::memory_order_relaxed);
   if (s1 != s2) return false;  // slot being rewritten under us
   out->seq = s1;
   out->aux_a = static_cast<std::uint32_t>(packed & 0xffffffffu);
@@ -121,7 +124,7 @@ void FlightRecorder::Clear() {
     Ring* ring = rings_[r].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
     for (std::size_t s = 0; s < kSlotsPerThread; ++s) {
-      ring->words[s * kWordsPerSlot + 6].store(0, std::memory_order_release);
+      ring->words[s * kWordsPerSlot + 7].store(0, std::memory_order_release);
     }
   }
 }

@@ -8,8 +8,8 @@
 // Memory model:
 //  * One ring per writer thread, registered on first Record() and retained
 //    for process lifetime (a dump after a thread exits still sees its tail).
-//  * Each slot is 7 atomic u64 words (56 B): six payload words written with
-//    relaxed stores, then a sequence word written with a release store.
+//  * Each slot is 8 atomic u64 words (64 B): seven payload words written
+//    with relaxed stores, then a sequence word written with a release store.
 //    Readers (Snapshot / crash dump) validate each slot with an acquire
 //    load, copy, fence, re-load — the single-writer seqlock. A torn read
 //    would need the writer to lap the whole ring (kSlotsPerThread records)
@@ -17,7 +17,7 @@
 //    mean "slot being reused right now" and the slot is simply skipped.
 //  * No allocation, locking, or RMW on the record path (one relaxed gate
 //    load, one relaxed fetch_add on the global sequence); bounded by
-//    kMaxThreads * kSlotsPerThread * 56 B total.
+//    kMaxThreads * kSlotsPerThread * 64 B total.
 //
 // Runtime switch: default ON (this is the point — evidence exists before
 // anyone asks for it); FL_FLIGHT_RECORDER=0 disables for the rare
@@ -53,20 +53,21 @@ struct FlightRecord {
   std::uint64_t session = 0;
   std::uint64_t round = 0;
   std::uint32_t aux_a = 0;    // per-kind payload (goal, phase index, ...)
-  std::uint16_t aux_b = 0;    // per-kind payload (reason code, ...)
+  std::uint16_t aux_b = 0;    // per-kind payload (min_report, span id, ...)
+  std::uint64_t aux_c = 0;    // per-kind payload (bytes, reason code, ...)
   std::uint8_t source = 0;
   std::uint8_t kind = 0;
 };
 
 class FlightRecorder {
  public:
-  // 4096 slots x 56 B = 224 KiB per writer thread: the last several rounds
+  // 4096 slots x 64 B = 256 KiB per writer thread: the last several rounds
   // of protocol history, small enough that the ring's cache footprint stays
   // out of the simulator's way (a larger ring measurably taxes the fleet
   // macro bench through L2 eviction, not instruction cost).
   static constexpr std::size_t kSlotsPerThread = std::size_t{1} << 12;
   static constexpr std::size_t kMaxThreads = 128;
-  static constexpr std::size_t kWordsPerSlot = 7;  // 6 payload + seq = 56 B
+  static constexpr std::size_t kWordsPerSlot = 8;  // 7 payload + seq = 64 B
 
   static FlightRecorder& Global();
 
@@ -74,7 +75,8 @@ class FlightRecorder {
   // writes (tests and the dump drive it deterministically).
   void Record(std::uint8_t source, std::uint8_t kind, std::uint64_t sim_ms,
               std::uint64_t device, std::uint64_t session, std::uint64_t round,
-              std::uint32_t aux_a = 0, std::uint16_t aux_b = 0);
+              std::uint32_t aux_a = 0, std::uint16_t aux_b = 0,
+              std::uint64_t aux_c = 0);
 
   // All currently-valid slots across every ring, sorted by seq. Allocates;
   // not for signal handlers (those use ForEachUnordered).
@@ -113,7 +115,8 @@ class FlightRecorder {
  private:
   struct Ring {
     // Slot layout: [0]=sim_ms [1]=wall_us [2]=device [3]=session [4]=round
-    // [5]=aux_a | aux_b<<32 | source<<48 | kind<<56, [6]=seq (0 = invalid).
+    // [5]=aux_a | aux_b<<32 | source<<48 | kind<<56, [6]=aux_c,
+    // [7]=seq (0 = invalid).
     std::vector<std::atomic<std::uint64_t>> words;
     // Owner thread only. The wall clock is sampled once per distinct sim_ms
     // (a discrete-event burst shares one sample): the clock read is the

@@ -4,7 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/analytics/journal.h"
+#include "src/analytics/emit.h"
 #include "src/common/thread_pool.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -188,12 +188,11 @@ Result<SimulationResult> RunFedAvgSimulation(
     if (round_span.id() != 0) {
       round_span.AddAttr("round", std::to_string(round));
     }
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          SimTime{}, analytics::JournalSource::kSim,
-          analytics::JournalEventKind::kSimRoundStart, DeviceId{}, SessionId{},
-          RoundId{round}, "want=" + std::to_string(config.clients_per_round));
-    }
+    analytics::Emit({.source = analytics::JournalSource::kSim,
+                     .kind = analytics::JournalEventKind::kSimRoundStart,
+                     .count = static_cast<std::uint32_t>(
+                         config.clients_per_round),
+                     .round = RoundId{round}});
     acc.Reset();
     // Select 1.3K, keep the first K survivors (Algorithm 1's header).
     const std::size_t want = config.clients_per_round;
@@ -235,12 +234,10 @@ Result<SimulationResult> RunFedAvgSimulation(
                           ": no client produced an update");
     }
     FL_RETURN_IF_ERROR(acc.FinalizeInPlace(global));
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          SimTime{}, analytics::JournalSource::kSim,
-          analytics::JournalEventKind::kSimRoundComplete, DeviceId{},
-          SessionId{}, RoundId{round}, "got=" + std::to_string(got));
-    }
+    analytics::Emit({.source = analytics::JournalSource::kSim,
+                     .kind = analytics::JournalEventKind::kSimRoundComplete,
+                     .count = static_cast<std::uint32_t>(got),
+                     .round = RoundId{round}});
 
     RoundPoint point;
     point.round = round;

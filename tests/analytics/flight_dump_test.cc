@@ -1,6 +1,7 @@
 // Flight dump: the journal-typed view over the recorder rings — reason-code
-// round-trips, outcome packing, and the two dump paths (allocating text vs
-// async-signal-safe fd) producing parseable, equivalent journals.
+// round-trips, the Event encoding, the two dump paths (allocating text vs
+// async-signal-safe fd) producing parseable, equivalent journals, and the
+// journal and the dump rendering every event through one projection.
 #include "src/analytics/flight_dump.h"
 
 #include <gtest/gtest.h>
@@ -8,14 +9,31 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/analytics/emit.h"
 
 #include "src/telemetry/flight_recorder.h"
 
 namespace fl::analytics {
 namespace {
+
+// The journal record a flight slot renders as.
+bool JournalRecordFromFlight(const telemetry::FlightRecord& f,
+                             JournalRecord* out) {
+  Event e;
+  if (!EventFromFlight(f, &e)) return false;
+  char line[kMaxJournalLine];
+  auto rec = JournalRecord::Parse(
+      std::string_view(line, FormatJournalLine(e, 0, line)));
+  if (!rec.ok()) return false;
+  *out = std::move(rec).value();
+  return true;
+}
 
 class FlightDumpTest : public ::testing::Test {
  protected:
@@ -40,27 +58,55 @@ TEST_F(FlightDumpTest, ReasonNamesRoundTrip) {
                "waiting pool full");
 }
 
+// The loss reasons render the text fl_analyze reports as the abort reason,
+// counts included.
 TEST_F(FlightDumpTest, OutcomeReasonPackingDecodesInDetail) {
-  RecordFlight(SimTime{500}, JournalSource::kCoordinator,
-               JournalEventKind::kRoundOutcome, DeviceId{}, SessionId{},
-               RoundId{7}, /*aux_a=*/0,
-               PackOutcomeReason(protocol::RoundOutcome::kAbandonedReporting,
-                                 FlightReason::kBelowMinReports));
+  const struct {
+    protocol::RoundOutcome outcome;
+    FlightReason reason;
+    const char* detail;
+  } cases[] = {
+      {protocol::RoundOutcome::kAbandonedReporting,
+       FlightReason::kBelowMinReports,
+       "outcome=abandoned_reporting reason=only 2 reports; need 4"},
+      {protocol::RoundOutcome::kAbandonedSelection,
+       FlightReason::kSelectionTimeout,
+       "outcome=abandoned_selection reason=selection timeout with 2 devices"},
+      {protocol::RoundOutcome::kAbandonedReporting,
+       FlightReason::kMasterEndOfLife,
+       "outcome=abandoned_reporting reason=master end of life before "
+       "completion"},
+      {protocol::RoundOutcome::kFailed, FlightReason::kMasterLost,
+       "outcome=failed reason=master_lost"},
+  };
+  for (const auto& c : cases) {
+    Emit({.at = SimTime{500},
+          .source = JournalSource::kCoordinator,
+          .kind = JournalEventKind::kRoundOutcome,
+          .reason = c.reason,
+          .outcome = c.outcome,
+          .count = 2,
+          .min_report = 4,
+          .round = RoundId{7}});
+  }
   const auto records = telemetry::FlightRecorder::Global().Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  JournalRecord rec;
-  ASSERT_TRUE(JournalRecordFromFlight(records[0], &rec));
-  EXPECT_EQ(rec.event, JournalEventKind::kRoundOutcome);
-  EXPECT_EQ(rec.round.value, 7u);
-  EXPECT_EQ(rec.detail, "outcome=abandoned_reporting reason=below min_report");
+  ASSERT_EQ(records.size(), std::size(cases));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    JournalRecord rec;
+    ASSERT_TRUE(JournalRecordFromFlight(records[i], &rec));
+    EXPECT_EQ(rec.event, JournalEventKind::kRoundOutcome);
+    EXPECT_EQ(rec.round.value, 7u);
+    EXPECT_EQ(rec.detail, cases[i].detail);
+  }
 }
 
 TEST_F(FlightDumpTest, CommittedOutcomeCarriesContributors) {
-  RecordFlight(SimTime{900}, JournalSource::kCoordinator,
-               JournalEventKind::kRoundOutcome, DeviceId{}, SessionId{},
-               RoundId{3}, /*aux_a=*/25,
-               PackOutcomeReason(protocol::RoundOutcome::kCommitted,
-                                 FlightReason::kNone));
+  Emit({.at = SimTime{900},
+        .source = JournalSource::kCoordinator,
+        .kind = JournalEventKind::kRoundOutcome,
+        .outcome = protocol::RoundOutcome::kCommitted,
+        .count = 25,
+        .round = RoundId{3}});
   const auto records = telemetry::FlightRecorder::Global().Snapshot();
   ASSERT_EQ(records.size(), 1u);
   JournalRecord rec;
@@ -77,15 +123,24 @@ TEST_F(FlightDumpTest, SpanRecordsAreNotJournalRecords) {
 }
 
 TEST_F(FlightDumpTest, DumpTextParsesBackAsJournalRecords) {
-  RecordFlight(SimTime{1000}, JournalSource::kMaster,
-               JournalEventKind::kRoundOpen, DeviceId{}, SessionId{},
-               RoundId{4}, /*aux_a=*/20, /*aux_b=*/12);
-  RecordFlight(SimTime{1500}, JournalSource::kAggregator,
-               JournalEventKind::kReportRejected, DeviceId{8}, SessionId{80},
-               RoundId{4}, 0, static_cast<std::uint16_t>(FlightReason::kLate));
-  RecordFlight(SimTime{2000}, JournalSource::kDevice,
-               JournalEventKind::kTrainStart, DeviceId{8}, SessionId{80},
-               RoundId{4});
+  Emit({.at = SimTime{1000},
+        .source = JournalSource::kMaster,
+        .kind = JournalEventKind::kRoundOpen,
+        .count = 20,
+        .min_report = 12,
+        .round = RoundId{4}});
+  Emit({.at = SimTime{1500},
+        .source = JournalSource::kAggregator,
+        .kind = JournalEventKind::kReportRejected,
+        .reason = FlightReason::kLate,
+        .device = DeviceId{8},
+        .session = SessionId{80},
+        .round = RoundId{4}});
+  Emit({.at = SimTime{2000},
+        .kind = JournalEventKind::kTrainStart,
+        .device = DeviceId{8},
+        .session = SessionId{80},
+        .round = RoundId{4}});
 
   const std::string text = FlightDumpText();
   EXPECT_EQ(text.rfind(Journal::kHeader, 0), 0u);  // header first
@@ -112,8 +167,10 @@ TEST_F(FlightDumpTest, DumpTextParsesBackAsJournalRecords) {
 
 TEST_F(FlightDumpTest, FdDumpMatchesTextDumpRecordForRecord) {
   for (std::uint64_t i = 0; i < 50; ++i) {
-    RecordFlight(SimTime{static_cast<std::int64_t>(i)}, JournalSource::kDevice,
-                 JournalEventKind::kCheckin, DeviceId{i}, SessionId{i + 1});
+    Emit({.at = SimTime{static_cast<std::int64_t>(i)},
+          .kind = JournalEventKind::kCheckin,
+          .device = DeviceId{i},
+          .session = SessionId{i + 1}});
   }
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);
@@ -150,11 +207,90 @@ TEST_F(FlightDumpTest, FdDumpMatchesTextDumpRecordForRecord) {
 
 TEST_F(FlightDumpTest, RecordFlightHonorsTheGate) {
   telemetry::SetFlightRecorderEnabled(false);
-  RecordFlight(SimTime{1}, JournalSource::kDevice, JournalEventKind::kCheckin);
+  Emit({.at = SimTime{1}, .kind = JournalEventKind::kCheckin});
   EXPECT_TRUE(telemetry::FlightRecorder::Global().Snapshot().empty());
   telemetry::SetFlightRecorderEnabled(true);
-  RecordFlight(SimTime{2}, JournalSource::kDevice, JournalEventKind::kCheckin);
+  Emit({.at = SimTime{2}, .kind = JournalEventKind::kCheckin});
   EXPECT_EQ(telemetry::FlightRecorder::Global().Snapshot().size(), 1u);
+}
+
+// Parsed records of a `#fl-journal v1` text, wall_us zeroed.
+std::vector<std::string> CanonicalRecords(std::istream& in) {
+  std::vector<std::string> out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    auto rec = JournalRecord::Parse(line);
+    EXPECT_TRUE(rec.ok()) << line;
+    if (!rec.ok()) continue;
+    rec->wall_us = 0;
+    out.push_back(rec->Serialize());
+  }
+  return out;
+}
+
+// One event of every kind, emitted with both the journal and the recorder
+// on: the journal file and the flight dump must agree record for record,
+// because both render through FormatJournalLine. Any detail that reaches
+// one and not the other breaks this.
+TEST_F(FlightDumpTest, JournalAndFlightDumpShareOneProjection) {
+  const std::uint8_t codec = InternCodec("topk25+int8");
+  std::vector<Event> events;
+  for (int k = 0; k <= static_cast<int>(JournalEventKind::kServerError); ++k) {
+    Event e{.at = SimTime{1000 + k},
+            .source = JournalSource::kAggregator,
+            .kind = static_cast<JournalEventKind>(k),
+            .reason = FlightReason::kLate,
+            .outcome = protocol::RoundOutcome::kAbandonedReporting,
+            .codec = codec,
+            .count = 3,
+            .min_report = 7,
+            .device = DeviceId{40u + static_cast<unsigned>(k)},
+            .session = SessionId{900},
+            .round = RoundId{(5ull << 32) | 2},
+            .bytes = 123456789};
+    switch (e.kind) {
+      case JournalEventKind::kRoundAbandoned:
+        e.reason = FlightReason::kSelectionTimeout;
+        break;
+      case JournalEventKind::kRoundOutcome:
+        e.reason = FlightReason::kBelowMinReports;
+        break;
+      case JournalEventKind::kSessionEnd:
+      case JournalEventKind::kPhase:
+        e.count = 1;
+        break;
+      default:
+        break;
+    }
+    events.push_back(e);
+  }
+  // The two report_accepted shapes and a committed outcome.
+  Event secagg = events[static_cast<int>(JournalEventKind::kReportAccepted)];
+  secagg.count = 1;
+  Event committed = events[static_cast<int>(JournalEventKind::kRoundOutcome)];
+  committed.outcome = protocol::RoundOutcome::kCommitted;
+  committed.reason = FlightReason::kNone;
+  events.push_back(secagg);
+  events.push_back(committed);
+
+  const std::string path =
+      ::testing::TempDir() + "flight_projection." +
+      std::to_string(::getpid()) + ".log";
+  ASSERT_TRUE(Journal::Global().Open(path).ok());
+  for (const Event& e : events) Emit(e);
+  Journal::Global().Close();
+
+  std::ifstream journal_in(path);
+  const std::vector<std::string> journal = CanonicalRecords(journal_in);
+  std::istringstream dump_in(FlightDumpText());
+  const std::vector<std::string> dump = CanonicalRecords(dump_in);
+  std::remove(path.c_str());
+
+  // Every journaled kind plus the two extra shapes; no stats-only kind.
+  EXPECT_EQ(journal.size(),
+            static_cast<std::size_t>(JournalEventKind::kSimRoundComplete) + 3);
+  EXPECT_EQ(journal, dump);
 }
 
 }  // namespace

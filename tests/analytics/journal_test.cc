@@ -64,7 +64,7 @@ TEST(JournalRecordTest, ParseRejectsMalformedLines) {
 }
 
 TEST(JournalNamesTest, AllSourcesRoundTrip) {
-  for (int i = 0; i <= static_cast<int>(JournalSource::kSim); ++i) {
+  for (int i = 0; i <= static_cast<int>(JournalSource::kFrontend); ++i) {
     const auto s = static_cast<JournalSource>(i);
     const auto back = ParseJournalSource(JournalSourceName(s));
     ASSERT_TRUE(back.ok());
@@ -122,11 +122,15 @@ TEST(JournalSinkTest, WritesHeaderAndRecordsAndGatesEnabled) {
   EXPECT_TRUE(journal.is_open());
   EXPECT_FALSE(journal.Open(path).ok());  // double-open refused
 
-  AppendJournal(SimTime{5}, JournalSource::kDevice,
-                JournalEventKind::kCheckin, DeviceId{1}, SessionId{100});
-  AppendJournal(SimTime{9}, JournalSource::kSelector,
-                JournalEventKind::kCheckinAccepted, DeviceId{1},
-                SessionId{100});
+  journal.Append({.at = SimTime{5},
+                  .kind = JournalEventKind::kCheckin,
+                  .device = DeviceId{1},
+                  .session = SessionId{100}});
+  journal.Append({.at = SimTime{9},
+                  .source = JournalSource::kSelector,
+                  .kind = JournalEventKind::kCheckinAccepted,
+                  .device = DeviceId{1},
+                  .session = SessionId{100}});
   EXPECT_EQ(journal.events_written(), 2u);
   journal.Close();
   EXPECT_FALSE(JournalEnabled());

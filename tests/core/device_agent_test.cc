@@ -19,7 +19,7 @@ struct CheckinHarness {
     config.population.non_genuine_fraction = 0.1;
     config.device_checkin_cadence = Minutes(1);
     config.device_give_up = Minutes(3);
-    server_context.stats = &stats;
+    server_context.events = &events;
     server_context.pace = &pace;
     server_context.rng = &server_rng;
     server_context.estimated_population = kDevices;
@@ -39,6 +39,7 @@ struct CheckinHarness {
     services.frontend = &frontend;
     services.attestation = &attestation;
     services.stats = &stats;
+    services.events = &events;
     services.config = &config;
     Rng rng(11);
     for (const sim::DeviceProfile& profile :
@@ -74,6 +75,8 @@ struct CheckinHarness {
   protocol::PaceSteeringPolicy pace{config.pace, &curve};
   device::AttestationAuthority attestation{99};
   FleetStats stats{SimTime{0}, Minutes(10)};
+  analytics::EventBus events{
+      [this](const analytics::Event& e) { stats.OnEvent(e); }};
   Rng server_rng{3};
   server::ServerContext server_context;
   server::ServerFrontend frontend{&system, &server_context, &attestation};

@@ -7,6 +7,7 @@
 #include "src/core/fl_system.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
+#include "tests/core/journal_invariants.h"
 
 namespace fl::core {
 namespace {
@@ -53,6 +54,7 @@ TEST(DeviceBehaviorTest, CheckinCadenceBoundsSessionRate) {
   // sessions, no matter how often the server would have it back.
   FLSystemConfig config = BaseConfig(3);
   config.device_checkin_cadence = Hours(1);
+  const JournalInvariantCheck journal;
   FLSystem system(std::move(config));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -67,6 +69,7 @@ TEST(DeviceBehaviorTest, CheckinCadenceBoundsSessionRate) {
 TEST(DeviceBehaviorTest, StarvedStoresProduceModelIssueErrors) {
   // Plans whose selection criteria exceed on-device data fail at training
   // start — the "-v[*" model-issue shape from Sec. 5.
+  const JournalInvariantCheck journal;
   FLSystem system(BaseConfig(5));
   plan::ExampleSelector selector;
   selector.min_examples = 1000;  // no device has this much
@@ -85,6 +88,7 @@ TEST(DeviceBehaviorTest, ExpiredDataStopsTrainingUntilRefresh) {
   auto run = [](Duration refresh) {
     FLSystemConfig config = BaseConfig(7);
     config.data_refresh_period = refresh;
+    const JournalInvariantCheck journal;
     FLSystem system(std::move(config));
     plan::ExampleSelector selector;
     selector.max_example_age = Hours(2);
@@ -110,6 +114,7 @@ TEST(DeviceBehaviorTest, DevicesGiveUpAndRetryWhenServerGoesSilent) {
   // Kill ALL selectors: no device may wedge on the dead stream — each one
   // must hit its give-up timer, end the session, and keep retrying (in
   // production new connections would land on surviving selectors).
+  const JournalInvariantCheck journal;
   FLSystem system(BaseConfig(9));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -148,6 +153,7 @@ TEST(DeviceBehaviorTest, InterruptionsProduceDropsNotHangs) {
   config.population.mean_eligible_day = Minutes(4);
   config.population.mean_eligible_night = Minutes(8);
   config.population.mean_examples_per_sec = 2;  // minutes-long training
+  const JournalInvariantCheck journal;
   FLSystem system(std::move(config));
   protocol::RoundConfig rc = SmallRound();
   rc.overselection = 1.6;

@@ -5,6 +5,7 @@
 
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
+#include "tests/core/journal_invariants.h"
 
 namespace fl::core {
 namespace {
@@ -51,6 +52,7 @@ FLSystem::DataProvisioner BlobsProvisioner(std::uint64_t seed = 5) {
 }
 
 TEST(FLSystemTest, CommitsRoundsAndImprovesModel) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig());
   const graph::Model model = TestModel();
   plan::TrainingHyperparams hyper;
@@ -78,6 +80,7 @@ TEST(FLSystemTest, CommitsRoundsAndImprovesModel) {
 }
 
 TEST(FLSystemTest, SessionShapesMatchPaperDistribution) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(7));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -97,6 +100,7 @@ TEST(FLSystemTest, SessionShapesMatchPaperDistribution) {
 }
 
 TEST(FLSystemTest, ParticipantAccountingConsistent) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(9));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -119,6 +123,7 @@ TEST(FLSystemTest, ParticipantAccountingConsistent) {
 }
 
 TEST(FLSystemTest, TrafficIsDownloadDominated) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(11));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -142,6 +147,7 @@ TEST(FLSystemTest, CompressionShrinksUploads) {
   compressed_config.upload_compression = comp;
 
   auto run = [&](FLSystemConfig config) {
+    const JournalInvariantCheck journal;
     FLSystem system(std::move(config));
     system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                            Seconds(30));
@@ -163,6 +169,7 @@ TEST(FLSystemTest, CompressionShrinksUploads) {
 
 TEST(FLSystemTest, DeterministicReplay) {
   auto run = [] {
+    const JournalInvariantCheck journal;
     FLSystem system(SmallConfig(21));
     system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                            Seconds(30));
@@ -179,6 +186,7 @@ TEST(FLSystemTest, DeterministicReplay) {
 TEST(FLSystemTest, NonGenuineDevicesExcluded) {
   FLSystemConfig config = SmallConfig(23);
   config.population.non_genuine_fraction = 0.3;
+  const JournalInvariantCheck journal;
   FLSystem system(std::move(config));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));

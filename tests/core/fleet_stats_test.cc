@@ -6,15 +6,37 @@ namespace fl::core {
 namespace {
 
 using analytics::DeviceState;
-using protocol::ParticipantOutcome;
+using analytics::Event;
+using analytics::FlightReason;
+using analytics::JournalEventKind;
+using analytics::JournalSource;
 using protocol::RoundOutcome;
+
+Event Outcome(SimTime at, std::uint64_t round, RoundOutcome outcome,
+              std::uint32_t contributors, Duration selection = {},
+              Duration total = {}) {
+  return {.at = at,
+          .source = JournalSource::kCoordinator,
+          .kind = JournalEventKind::kRoundOutcome,
+          .outcome = outcome,
+          .count = contributors,
+          .round = RoundId{round},
+          .selection_duration = selection,
+          .round_duration = total};
+}
+
+Event Fact(SimTime at, JournalSource source, JournalEventKind kind,
+           RoundId round = {}, std::uint64_t bytes = 0) {
+  return {.at = at, .source = source, .kind = kind, .round = round,
+          .bytes = bytes};
+}
 
 TEST(FleetStatsTest, RoundOutcomeCountsAndSeries) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnRoundOutcome(SimTime{Minutes(5).millis}, RoundId{1},
-                       RoundOutcome::kCommitted, 20);
-  stats.OnRoundOutcome(SimTime{Minutes(15).millis}, RoundId{2},
-                       RoundOutcome::kAbandonedReporting, 0);
+  stats.OnEvent(
+      Outcome(SimTime{Minutes(5).millis}, 1, RoundOutcome::kCommitted, 20));
+  stats.OnEvent(Outcome(SimTime{Minutes(15).millis}, 2,
+                        RoundOutcome::kAbandonedReporting, 0));
   EXPECT_EQ(stats.rounds_committed(), 1u);
   EXPECT_EQ(stats.rounds_abandoned(), 1u);
   EXPECT_DOUBLE_EQ(stats.round_completions().Sum(0), 1.0);
@@ -26,8 +48,8 @@ TEST(FleetStatsTest, RoundOutcomeCountsAndSeries) {
 
 TEST(FleetStatsTest, TimingPatchesTheMatchingLogRow) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnRoundOutcome(SimTime{1}, RoundId{7}, RoundOutcome::kCommitted, 5);
-  stats.OnRoundTiming(SimTime{1}, RoundId{7}, Minutes(2), Minutes(6));
+  stats.OnEvent(Outcome(SimTime{1}, 7, RoundOutcome::kCommitted, 5,
+                        Minutes(2), Minutes(6)));
   ASSERT_TRUE(stats.round_log()[0].has_timing);
   EXPECT_EQ(stats.round_log()[0].selection_duration, Minutes(2));
   EXPECT_EQ(stats.round_log()[0].round_duration, Minutes(6));
@@ -37,13 +59,21 @@ TEST(FleetStatsTest, TimingPatchesTheMatchingLogRow) {
 TEST(FleetStatsTest, ParticipantOutcomesBucketPerRound) {
   FleetStats stats(SimTime{0}, Minutes(10));
   const RoundId r{3};
-  stats.OnParticipantOutcome(SimTime{1}, r, DeviceId{1},
-                             ParticipantOutcome::kCompleted);
-  stats.OnParticipantOutcome(SimTime{1}, r, DeviceId{2},
-                             ParticipantOutcome::kRejectedLate);
-  stats.OnParticipantOutcome(SimTime{1}, r, DeviceId{3},
-                             ParticipantOutcome::kAborted);
-  stats.OnDeviceDrop(SimTime{1}, r, DeviceId{4});
+  stats.OnEvent(Fact(SimTime{1}, JournalSource::kAggregator,
+                     JournalEventKind::kReportAccepted, r));
+  Event late = Fact(SimTime{1}, JournalSource::kAggregator,
+                    JournalEventKind::kReportRejected, r);
+  late.reason = FlightReason::kLate;
+  stats.OnEvent(late);
+  stats.OnEvent(Fact(SimTime{1}, JournalSource::kAggregator,
+                     JournalEventKind::kParticipantAborted, r));
+  // A device-observed drop: the '!' of an assigned session.
+  stats.OnEvent(Fact(SimTime{1}, JournalSource::kDevice,
+                     JournalEventKind::kInterrupted, r));
+  // '!' before assignment (no round) is no participant outcome.
+  stats.OnEvent(Fact(SimTime{1}, JournalSource::kDevice,
+                     JournalEventKind::kInterrupted));
+  ASSERT_EQ(stats.per_round().size(), 1u);
   const auto& counts = stats.per_round().at(r);
   EXPECT_EQ(counts.completed, 1u);
   EXPECT_EQ(counts.aborted, 2u);  // late + aborted fold together (Fig. 7)
@@ -65,9 +95,14 @@ TEST(FleetStatsTest, StateTransitionsDriveSampledSeries) {
 
 TEST(FleetStatsTest, TrafficTotalsAccumulate) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnTraffic(SimTime{1}, 1000, 0);
-  stats.OnTraffic(SimTime{2}, 0, 300);
-  stats.OnTraffic(SimTime{3}, 500, 200);
+  const auto traffic = [&](std::int64_t t, JournalEventKind kind,
+                           std::uint64_t bytes) {
+    stats.OnEvent(Fact(SimTime{t}, JournalSource::kAggregator, kind, {}, bytes));
+  };
+  traffic(1, JournalEventKind::kDownload, 1000);
+  traffic(2, JournalEventKind::kUpload, 300);
+  traffic(3, JournalEventKind::kDownload, 500);
+  traffic(3, JournalEventKind::kUpload, 200);
   EXPECT_EQ(stats.total_download_bytes(), 1500u);
   EXPECT_EQ(stats.total_upload_bytes(), 500u);
 }
@@ -87,8 +122,10 @@ TEST(FleetStatsTest, ShortTracesExcludedFromTableOne) {
 
 TEST(FleetStatsTest, ErrorsCounted) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnError(SimTime{1}, "boom");
-  stats.OnError(SimTime{2}, "bang");
+  stats.OnEvent(Fact(SimTime{1}, JournalSource::kAggregator,
+                     JournalEventKind::kServerError));
+  stats.OnEvent(Fact(SimTime{2}, JournalSource::kFrontend,
+                     JournalEventKind::kServerError));
   EXPECT_EQ(stats.errors(), 2u);
 }
 

@@ -5,6 +5,7 @@
 #include "src/core/fl_system.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
+#include "tests/core/journal_invariants.h"
 
 namespace fl::core {
 namespace {
@@ -49,6 +50,7 @@ FLSystem::DataProvisioner BlobsProvisioner() {
 }
 
 TEST(IntegrationTest, TrainAndEvalTasksAlternate) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(31));
   const graph::Model model = TestModel();
   system.AddTrainingTask("train", model, {}, {}, SmallRound(), Seconds(30));
@@ -77,6 +79,7 @@ TEST(IntegrationTest, TrainAndEvalTasksAlternate) {
 }
 
 TEST(IntegrationTest, EvalRoundsDoNotMoveTheModel) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(33));
   const graph::Model model = TestModel();
   // Evaluation-only deployment: model version advances per commit but the
@@ -98,6 +101,7 @@ TEST(IntegrationTest, EvalRoundsDoNotMoveTheModel) {
 }
 
 TEST(IntegrationTest, MetricsSummariesMaterialized) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(35));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -118,6 +122,7 @@ TEST(IntegrationTest, MetricsSummariesMaterialized) {
 
 TEST(IntegrationTest, SecureAggregationRoundsCommit) {
   FLSystemConfig config = SmallConfig(37);
+  const JournalInvariantCheck journal;
   FLSystem system(std::move(config));
   protocol::RoundConfig rc = SmallRound();
   rc.aggregation = protocol::AggregationMode::kSecure;
@@ -152,6 +157,7 @@ TEST(IntegrationTest, SecureAggregationRoundsCommit) {
 }
 
 TEST(IntegrationTest, SecureModelStillLearns) {
+  const JournalInvariantCheck journal;
   FLSystem system(SmallConfig(39));
   protocol::RoundConfig rc = SmallRound();
   rc.aggregation = protocol::AggregationMode::kSecure;
@@ -187,6 +193,7 @@ TEST(IntegrationTest, PipeliningReducesInterRoundGap) {
   auto run = [](bool pipelined) {
     FLSystemConfig config = SmallConfig(41);
     config.pipelined_selection = pipelined;
+    const JournalInvariantCheck journal;
     FLSystem system(std::move(config));
     protocol::RoundConfig rc = SmallRound();
     rc.selection_timeout = Minutes(3);
@@ -209,6 +216,7 @@ TEST(IntegrationTest, DiurnalParticipationSwing) {
   config.population.tz_weights = {1.0};
   config.population.tz_offsets = {Hours(0)};
   config.stats_bucket = Minutes(30);
+  const JournalInvariantCheck journal;
   FLSystem system(std::move(config));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));

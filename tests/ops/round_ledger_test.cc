@@ -13,93 +13,75 @@ namespace {
 using protocol::ParticipantOutcome;
 using protocol::RoundOutcome;
 
-// Records every callback so the tee contract is checkable.
-class RecordingSink final : public server::ServerStatsSink {
- public:
-  void OnRoundOutcome(SimTime, RoundId, RoundOutcome, std::size_t) override {
-    ++round_outcomes;
-  }
-  void OnParticipantOutcome(SimTime, RoundId, DeviceId,
-                            ParticipantOutcome) override {
-    ++participant_outcomes;
-  }
-  void OnRoundTiming(SimTime, RoundId, Duration, Duration) override {
-    ++timings;
-  }
-  void OnDeviceAccepted(SimTime) override { ++accepted; }
-  void OnDeviceRejected(SimTime) override { ++rejected; }
-  void OnTraffic(SimTime, std::uint64_t down, std::uint64_t up) override {
-    download += down;
-    upload += up;
-  }
-  void OnError(SimTime, const std::string&) override { ++errors; }
-
-  int round_outcomes = 0;
-  int participant_outcomes = 0;
-  int timings = 0;
-  int accepted = 0;
-  int rejected = 0;
-  int errors = 0;
-  std::uint64_t download = 0;
-  std::uint64_t upload = 0;
-};
+using analytics::Event;
+using analytics::FlightReason;
+using analytics::JournalEventKind;
+using analytics::JournalSource;
 
 SimTime At(std::int64_t ms) { return SimTime{ms}; }
 
-TEST(RoundLedgerTest, ForwardsEverythingEvenWhenDisabled) {
-  RecordingSink inner;
-  RoundLedger ledger(&inner);
-  ASSERT_FALSE(ledger.enabled());
-
-  ledger.OnDeviceAccepted(At(1));
-  ledger.OnDeviceRejected(At(2));
-  ledger.OnParticipantOutcome(At(3), RoundId{1}, DeviceId{9},
-                              ParticipantOutcome::kCompleted);
-  ledger.OnRoundTiming(At(4), RoundId{1}, Millis(100), Millis(500));
-  ledger.OnRoundOutcome(At(5), RoundId{1}, RoundOutcome::kCommitted, 3);
-  ledger.OnTraffic(At(6), 10, 20);
-  ledger.OnError(At(7), "boom");
-
-  EXPECT_EQ(inner.round_outcomes, 1);
-  EXPECT_EQ(inner.participant_outcomes, 1);
-  EXPECT_EQ(inner.timings, 1);
-  EXPECT_EQ(inner.accepted, 1);
-  EXPECT_EQ(inner.rejected, 1);
-  EXPECT_EQ(inner.errors, 1);
-  EXPECT_EQ(inner.download, 10u);
-  EXPECT_EQ(inner.upload, 20u);
-
-  // Disabled: nothing recorded.
-  EXPECT_TRUE(ledger.Recent().empty());
-  EXPECT_EQ(ledger.totals().rounds_committed, 0u);
+// The server facts the ledger folds, as the actors emit them.
+Event Outcome(std::int64_t ms, std::uint64_t round, RoundOutcome outcome,
+              std::uint32_t contributors, Duration selection = {},
+              Duration total = {}) {
+  return {.at = At(ms),
+          .source = JournalSource::kCoordinator,
+          .kind = JournalEventKind::kRoundOutcome,
+          .outcome = outcome,
+          .count = contributors,
+          .round = RoundId{round},
+          .selection_duration = selection,
+          .round_duration = total};
 }
 
-TEST(RoundLedgerTest, NullInnerIsFine) {
-  RoundLedger ledger;
-  ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 2);
-  EXPECT_EQ(ledger.Recent().size(), 1u);
+Event Participant(std::int64_t ms, std::uint64_t round, std::uint64_t device,
+                  ParticipantOutcome outcome) {
+  Event e{.at = At(ms),
+          .source = JournalSource::kAggregator,
+          .device = DeviceId{device},
+          .round = RoundId{round}};
+  switch (outcome) {
+    case ParticipantOutcome::kCompleted:
+      e.kind = JournalEventKind::kReportAccepted;
+      break;
+    case ParticipantOutcome::kRejectedLate:
+      e.kind = JournalEventKind::kReportRejected;
+      e.reason = FlightReason::kLate;
+      break;
+    case ParticipantOutcome::kAborted:
+      e.kind = JournalEventKind::kParticipantAborted;
+      break;
+    case ParticipantOutcome::kDropped:
+      e.kind = JournalEventKind::kParticipantDropped;
+      break;
+  }
+  return e;
+}
+
+Event Fact(std::int64_t ms, JournalEventKind kind) {
+  return {.at = At(ms), .source = JournalSource::kMaster, .kind = kind};
 }
 
 TEST(RoundLedgerTest, StagesParticipantsAndTimingUntilOutcome) {
   RoundLedger ledger;
   ledger.set_enabled(true);
 
-  // Everything about round 7 arrives before its outcome.
-  ledger.OnParticipantOutcome(At(1), RoundId{7}, DeviceId{1},
-                              ParticipantOutcome::kCompleted);
-  ledger.OnParticipantOutcome(At(2), RoundId{7}, DeviceId{2},
-                              ParticipantOutcome::kCompleted);
-  ledger.OnParticipantOutcome(At(3), RoundId{7}, DeviceId{3},
-                              ParticipantOutcome::kDropped);
-  ledger.OnParticipantOutcome(At(4), RoundId{7}, DeviceId{4},
-                              ParticipantOutcome::kAborted);
-  ledger.OnParticipantOutcome(At(5), RoundId{7}, DeviceId{5},
-                              ParticipantOutcome::kRejectedLate);
-  ledger.OnRoundTiming(At(6), RoundId{7}, Millis(250), Millis(1500));
+  // Every participant of round 7 settles before its outcome; the timing
+  // rides on the committed outcome itself.
+  ledger.OnEvent(
+      Participant(1, 7, 1, ParticipantOutcome::kCompleted));
+  ledger.OnEvent(
+      Participant(2, 7, 2, ParticipantOutcome::kCompleted));
+  ledger.OnEvent(
+      Participant(3, 7, 3, ParticipantOutcome::kDropped));
+  ledger.OnEvent(
+      Participant(4, 7, 4, ParticipantOutcome::kAborted));
+  ledger.OnEvent(
+      Participant(5, 7, 5, ParticipantOutcome::kRejectedLate));
   EXPECT_TRUE(ledger.Recent().empty());  // not finished yet
 
-  ledger.OnRoundOutcome(At(7), RoundId{7}, RoundOutcome::kCommitted, 2);
+  ledger.OnEvent(Outcome(7, 7, RoundOutcome::kCommitted, 2, Millis(250),
+                         Millis(1500)));
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 1u);
   const RoundRecord& r = recent[0];
@@ -119,21 +101,22 @@ TEST(RoundLedgerTest, StagesParticipantsAndTimingUntilOutcome) {
 TEST(RoundLedgerTest, LateParticipantOutcomeUpdatesFinishedRecord) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{3}, RoundOutcome::kCommitted, 1);
+  ledger.OnEvent(Outcome(1, 3, RoundOutcome::kCommitted, 1));
   // A straggler reports after the round already closed.
-  ledger.OnParticipantOutcome(At(2), RoundId{3}, DeviceId{8},
-                              ParticipantOutcome::kRejectedLate);
+  ledger.OnEvent(
+      Participant(2, 3, 8, ParticipantOutcome::kRejectedLate));
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].rejected_late, 1u);
 }
 
 TEST(RoundLedgerTest, CapacityEvictsOldestAndRecentIsNewestFirst) {
-  RoundLedger ledger(nullptr, /*capacity=*/3);
+  RoundLedger ledger(/*capacity=*/3);
   ledger.set_enabled(true);
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    ledger.OnRoundOutcome(At(static_cast<std::int64_t>(i)), RoundId{i},
-                          RoundOutcome::kCommitted, i);
+    ledger.OnEvent(Outcome(static_cast<std::int64_t>(i), i,
+                           RoundOutcome::kCommitted,
+                           static_cast<std::uint32_t>(i)));
   }
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 3u);
@@ -150,32 +133,29 @@ TEST(RoundLedgerTest, CapacityEvictsOldestAndRecentIsNewestFirst) {
 TEST(RoundLedgerTest, TotalsTallyOutcomesAndCheckins) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 2);
-  ledger.OnRoundOutcome(At(2), RoundId{2}, RoundOutcome::kAbandonedSelection,
-                        0);
-  ledger.OnRoundOutcome(At(3), RoundId{3}, RoundOutcome::kAbandonedReporting,
-                        1);
-  ledger.OnRoundOutcome(At(4), RoundId{4}, RoundOutcome::kFailed, 0);
-  ledger.OnDeviceAccepted(At(5));
-  ledger.OnDeviceAccepted(At(6));
-  ledger.OnDeviceRejected(At(7));
-  ledger.OnError(At(8), "x");
+  ledger.OnEvent(Outcome(1, 1, RoundOutcome::kCommitted, 2));
+  ledger.OnEvent(Outcome(2, 2, RoundOutcome::kAbandonedSelection, 0));
+  ledger.OnEvent(Outcome(3, 3, RoundOutcome::kAbandonedReporting, 1));
+  ledger.OnEvent(Outcome(4, 4, RoundOutcome::kFailed, 0));
+  ledger.OnEvent(Fact(5, JournalEventKind::kMasterAccepted));
+  ledger.OnEvent(Fact(6, JournalEventKind::kMasterAccepted));
+  ledger.OnEvent(Fact(7, JournalEventKind::kCheckinRejected));
+  ledger.OnEvent(Fact(8, JournalEventKind::kServerError));
 
   const RoundLedger::Totals totals = ledger.totals();
   EXPECT_EQ(totals.rounds_committed, 1u);
   EXPECT_EQ(totals.rounds_abandoned, 3u);  // kFailed counts as not-committed
   EXPECT_EQ(totals.checkins_accepted, 2u);
   EXPECT_EQ(totals.checkins_rejected, 1u);
-  EXPECT_EQ(totals.errors, 1u);
+  EXPECT_EQ(totals.errors, 2u);  // the server error and the failed round
 }
 
 TEST(RoundLedgerTest, RecentJsonIsValidAndNewestFirst) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundTiming(At(1), RoundId{1}, Millis(100), Millis(2000));
-  ledger.OnRoundOutcome(At(2), RoundId{1}, RoundOutcome::kCommitted, 4);
-  ledger.OnRoundOutcome(At(3), RoundId{2}, RoundOutcome::kAbandonedSelection,
-                        0);
+  ledger.OnEvent(
+      Outcome(2, 1, RoundOutcome::kCommitted, 4, Millis(100), Millis(2000)));
+  ledger.OnEvent(Outcome(3, 2, RoundOutcome::kAbandonedSelection, 0));
 
   const auto parsed = JsonValue::Parse(ledger.RecentJson(10));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
@@ -207,11 +187,26 @@ TEST(RoundLedgerTest, RecentJsonIsValidAndNewestFirst) {
 TEST(RoundLedgerTest, DisableStopsRecordingButKeepsHistory) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 1);
+  ledger.OnEvent(Outcome(1, 1, RoundOutcome::kCommitted, 1));
   ledger.set_enabled(false);
-  ledger.OnRoundOutcome(At(2), RoundId{2}, RoundOutcome::kCommitted, 1);
+  ledger.OnEvent(Outcome(2, 2, RoundOutcome::kCommitted, 1));
   EXPECT_EQ(ledger.Recent().size(), 1u);
   EXPECT_EQ(ledger.totals().rounds_committed, 1u);
+}
+
+// The diagnostic bundler hangs off this hook, so it must fire with the ops
+// plane (and ledger recording) off.
+TEST(RoundLedgerTest, AbandonedHookFiresWhileDisabled) {
+  RoundLedger ledger;
+  ASSERT_FALSE(ledger.enabled());
+  std::vector<std::uint64_t> abandoned;
+  ledger.set_on_abandoned([&](SimTime, RoundId round, RoundOutcome) {
+    abandoned.push_back(round.value);
+  });
+  ledger.OnEvent(Outcome(1, 1, RoundOutcome::kCommitted, 3));
+  ledger.OnEvent(Outcome(2, 2, RoundOutcome::kAbandonedSelection, 0));
+  EXPECT_EQ(abandoned, std::vector<std::uint64_t>{2});
+  EXPECT_TRUE(ledger.Recent().empty());
 }
 
 }  // namespace

@@ -52,31 +52,27 @@ class ProbeActor final : public actor::Actor {
   std::vector<MsgRoundAbandoned> abandons;
 };
 
-class CountingStats final : public ServerStatsSink {
- public:
-  void OnRoundOutcome(SimTime, RoundId, protocol::RoundOutcome o,
-                      std::size_t) override {
-    ++outcomes[o];
-  }
-  void OnParticipantOutcome(SimTime, RoundId, DeviceId,
-                            protocol::ParticipantOutcome o) override {
-    ++participants[o];
-  }
-  void OnRoundTiming(SimTime, RoundId, Duration, Duration) override {}
-  void OnDeviceAccepted(SimTime) override { ++accepted; }
-  void OnDeviceRejected(SimTime) override { ++rejected; }
-  void OnTraffic(SimTime, std::uint64_t down, std::uint64_t up) override {
-    download += down;
-    upload += up;
-  }
-  void OnError(SimTime, const std::string& what) override {
-    errors.push_back(what);
+// Tallies the emitted server facts the tests assert on.
+struct CountingStats {
+  void Count(const analytics::Event& e) {
+    using K = analytics::JournalEventKind;
+    protocol::ParticipantOutcome p;
+    if (analytics::ParticipantOutcomeOf(e, &p)) ++participants[p];
+    if (analytics::IsServerError(e)) ++errors;
+    switch (e.kind) {
+      case K::kRoundOutcome: ++outcomes[e.outcome]; break;
+      case K::kMasterAccepted: ++accepted; break;
+      case K::kCheckinRejected: ++rejected; break;
+      case K::kDownload: download += e.bytes; break;
+      case K::kUpload: upload += e.bytes; break;
+      default: break;
+    }
   }
 
   std::map<protocol::RoundOutcome, int> outcomes;
   std::map<protocol::ParticipantOutcome, int> participants;
   std::uint64_t accepted = 0, rejected = 0, download = 0, upload = 0;
-  std::vector<std::string> errors;
+  std::uint64_t errors = 0;
 };
 
 struct Harness : public ::testing::Test {
@@ -87,7 +83,7 @@ struct Harness : public ::testing::Test {
         rng(7),
         model(graph::BuildLogisticRegression(4, 2, rng)) {
     server_context.locks = &locks;
-    server_context.stats = &stats;
+    server_context.events = &events;
     server_context.pace = &pace;
     server_context.rng = &rng;
     server_context.estimated_population = 500;
@@ -152,6 +148,8 @@ struct Harness : public ::testing::Test {
   actor::ActorSystem system;
   LockService locks;
   CountingStats stats;
+  analytics::EventBus events{
+      [this](const analytics::Event& e) { stats.Count(e); }};
   protocol::PaceSteeringPolicy pace;
   Rng rng;
   ServerContext server_context;

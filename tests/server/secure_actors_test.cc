@@ -140,7 +140,7 @@ struct SecureHarness : public ::testing::Test {
         rng(17),
         model(graph::BuildLogisticRegression(3, 2, rng)) {
     server_context.locks = &locks;
-    server_context.stats = &stats;
+    server_context.events = &events;
     server_context.pace = &pace;
     server_context.rng = &rng;
 
@@ -205,7 +205,7 @@ struct SecureHarness : public ::testing::Test {
   actor::SimContext context_obj;
   actor::ActorSystem system;
   LockService locks;
-  NullStatsSink stats;
+  analytics::EventBus events;
   protocol::PaceSteeringPolicy pace;
   Rng rng;
   ServerContext server_context;
