@@ -31,14 +31,12 @@ const ServerCounters& Counters() {
     ServerCounters c;
     c.rounds_committed = r.GetCounter("fl_server_rounds_committed_total");
     c.rounds_abandoned = r.GetCounter("fl_server_rounds_abandoned_total");
-    c.participants[static_cast<int>(ParticipantOutcome::kCompleted)] =
-        r.GetCounter("fl_server_participants_completed_total");
-    c.participants[static_cast<int>(ParticipantOutcome::kAborted)] =
-        r.GetCounter("fl_server_participants_aborted_total");
-    c.participants[static_cast<int>(ParticipantOutcome::kDropped)] =
-        r.GetCounter("fl_server_participants_dropped_total");
-    c.participants[static_cast<int>(ParticipantOutcome::kRejectedLate)] =
-        r.GetCounter("fl_server_participants_rejected_late_total");
+    for (int o = 0; o < 4; ++o) {  // fl_server_participants_<outcome>_total
+      c.participants[o] = r.GetCounter(
+          std::string("fl_server_participants_") +
+          protocol::ParticipantOutcomeName(static_cast<ParticipantOutcome>(o)) +
+          "_total");
+    }
     c.devices_accepted = r.GetCounter("fl_server_devices_accepted_total");
     c.devices_rejected = r.GetCounter("fl_server_devices_rejected_total");
     c.download_bytes = r.GetCounter("fl_server_download_bytes_total");

@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "src/actor/actor.h"
-#include "src/analytics/journal.h"
 #include "src/common/fixed_point.h"
 #include "src/fedavg/server_aggregate.h"
 #include "src/secagg/server.h"
