@@ -34,7 +34,7 @@ class OpsPlane {
     analytics::SlidingWindowStore::Options store;
   };
 
-  // `ledger` is the RoundLedger already sitting in the FLSystem sink chain
+  // `ledger` is the RoundLedger already folding the FLSystem's events
   // (may be null for hosts without one); the plane enables it on Start().
   // `bundler` is the host's DiagnosticBundler (may be null): the plane
   // serves it on /debugz and captures a bundle when health transitions

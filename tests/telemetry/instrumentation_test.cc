@@ -103,7 +103,7 @@ TEST_F(InstrumentationTest, FleetSimEmitsRoundPhaseSpansAndServerMetrics) {
   EXPECT_NE(json.find("\"name\":\"round\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"phase:selection\""), std::string::npos);
 
-  // Metrics: the TelemetryStatsSink mirrored every ServerStatsSink event.
+  // Metrics: Emit counted every server fact into the registry.
   const auto snap = telemetry::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterValue(snap, "fl_server_rounds_committed_total"),
             system.stats().rounds_committed());
