@@ -1,8 +1,6 @@
 #include "src/analytics/emit.h"
 
-#include "src/analytics/flight_dump.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/telemetry.h"
 
 namespace fl::analytics {
 namespace {
@@ -55,6 +53,8 @@ const ServerCounters& Counters() {
   return counters;
 }
 
+}  // namespace
+
 void CountServerFact(const Event& e) {
   const ServerCounters& c = Counters();
   ParticipantOutcome participant;
@@ -79,16 +79,6 @@ void CountServerFact(const Event& e) {
     case JournalEventKind::kUpload: c.upload_bytes->Add(e.bytes); break;
     default: break;
   }
-}
-
-}  // namespace
-
-void Emit(const Event& e) {
-  if (IsJournaled(e.kind)) {
-    if (telemetry::FlightRecorderEnabled()) RecordFlight(e);
-    if (JournalEnabled()) Journal::Global().Append(e);
-  }
-  if (telemetry::Enabled() && IsServerSource(e.source)) CountServerFact(e);
 }
 
 EventBus::EventBus(Fold fold) : fold_(std::move(fold)) { (void)Counters(); }

@@ -10,11 +10,34 @@
 
 #include <functional>
 
+#include "src/analytics/flight_dump.h"
 #include "src/analytics/journal.h"
+#include "src/telemetry/telemetry.h"
 
 namespace fl::analytics {
 
-void Emit(const Event& e);
+// Facts the server side observed (the fl_server_* counters and the round
+// ledger count only these; FleetStats also folds device-observed drops and
+// traffic).
+inline bool IsServerSource(JournalSource s) {
+  return s != JournalSource::kDevice && s != JournalSource::kSim;
+}
+
+// Adds `e` to the fl_server_* counters.
+void CountServerFact(const Event& e);
+
+// The gates are inline, so a site whose consumers are all off costs a few
+// predicted loads. The modeling simulator's events (kSim) skip the flight
+// ring: they are journal-only, and its thread needs no ring.
+inline void Emit(const Event& e) {
+  if (IsJournaled(e.kind)) {
+    if (telemetry::FlightRecorderEnabled() && e.source != JournalSource::kSim) {
+      RecordFlight(e);
+    }
+    if (JournalEnabled()) Journal::Global().Append(e);
+  }
+  if (telemetry::Enabled() && IsServerSource(e.source)) CountServerFact(e);
+}
 
 // The per-deployment emission point the server actors and device agents
 // hold. `fold` sees every event after the process-wide consumers.
@@ -33,13 +56,6 @@ class EventBus {
  private:
   Fold fold_;
 };
-
-// Facts the server side observed (the fl_server_* counters and the round
-// ledger count only these; FleetStats also folds device-observed drops and
-// traffic).
-inline bool IsServerSource(JournalSource s) {
-  return s != JournalSource::kDevice && s != JournalSource::kSim;
-}
 
 // Server errors (Sec. 5's error counter): an explicit kServerError, a report
 // refused as corrupt or unaccumulable, or a round that failed outright.

@@ -63,8 +63,10 @@ void FleetStats::OnEvent(const analytics::Event& e) {
       summary.round = e.round;
       summary.at = e.at;
       summary.outcome = e.outcome;
-      summary.contributors = e.count;
       if (e.outcome == protocol::RoundOutcome::kCommitted) {
+        // A lost round's count is its loss reason's (devices left pending,
+        // reports received), not contributors.
+        summary.contributors = e.count;
         ++rounds_committed_;
         round_completions_.Add(e.at);
         selection_duration_.Add(e.selection_duration.Minutes());

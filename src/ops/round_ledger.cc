@@ -64,8 +64,8 @@ void RoundLedger::RecordOutcome(const analytics::Event& e) {
   rec.round = e.round;
   rec.finished_at = e.at;
   rec.outcome = e.outcome;
-  rec.contributors = e.count;
   if (e.outcome == protocol::RoundOutcome::kCommitted) {
+    rec.contributors = e.count;  // a lost round's count is its loss reason's
     ++totals_.rounds_committed;
     rec.selection_duration = e.selection_duration;
     rec.round_duration = e.round_duration;

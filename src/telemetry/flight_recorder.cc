@@ -8,21 +8,19 @@
 
 namespace fl::telemetry {
 
-namespace internal {
+namespace {
 
-std::atomic<bool>& FlightEnabledFlag() {
-  static std::atomic<bool>* const flag = [] {
-    bool on = true;
-    if (const char* env = std::getenv("FL_FLIGHT_RECORDER")) {
-      on = !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-             std::strcmp(env, "OFF") == 0);
+[[maybe_unused]] const bool g_flight_env_applied = [] {
+  if (const char* env = std::getenv("FL_FLIGHT_RECORDER")) {
+    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
+        std::strcmp(env, "OFF") == 0) {
+      internal::g_flight_enabled.store(false, std::memory_order_relaxed);
     }
-    return new std::atomic<bool>(on);  // leaked: process lifetime
-  }();
-  return *flag;
-}
+  }
+  return true;
+}();
 
-}  // namespace internal
+}  // namespace
 
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* const recorder = new FlightRecorder();  // leaked
@@ -55,18 +53,20 @@ void FlightRecorder::Record(std::uint8_t source, std::uint8_t kind,
   Ring* ring = ThisThreadRing();
   if (ring == nullptr) return;  // > kMaxThreads writers; drop
   const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  // Refresh the cached wall sample once per 64 sim-ms stride (first record
+  // Refresh the cached wall sample once per sim-second stride (first record
   // included: last_sim_ms starts at ~0 so the difference is huge). Wall time
   // is only for correlating dumps with external logs; sub-stride staleness
   // is invisible there, and the clock read it saves is the single largest
-  // cost on this path.
-  if (sim_ms - ring->last_sim_ms >= 64) {
+  // cost on this path: ~100 ns inside the fleet simulator, whose working
+  // set evicts the clock's data between records. A 64 sim-ms stride still
+  // read the clock on most fleet records, which arrive ~45 sim-ms apart.
+  if (sim_ms - ring->last_sim_ms >= 1000) {
     ring->last_sim_ms = sim_ms;
     ring->last_wall_us = static_cast<std::uint64_t>(WallMicros());
   }
   const std::uint64_t wall = ring->last_wall_us;
   const std::size_t slot = ring->write_index++ % kSlotsPerThread;
-  std::atomic<std::uint64_t>* w = &ring->words[slot * kWordsPerSlot];
+  std::atomic<std::uint64_t>* w = ring->slots[slot].w;
   // Single-writer seqlock: invalidate, payload (relaxed), publish (release).
   w[7].store(0, std::memory_order_release);
   w[0].store(sim_ms, std::memory_order_relaxed);
@@ -85,7 +85,7 @@ void FlightRecorder::Record(std::uint8_t source, std::uint8_t kind,
 
 bool FlightRecorder::ReadSlot(const Ring& ring, std::size_t slot,
                               FlightRecord* out) {
-  const std::atomic<std::uint64_t>* w = &ring.words[slot * kWordsPerSlot];
+  const std::atomic<std::uint64_t>* w = ring.slots[slot].w;
   const std::uint64_t s1 = w[7].load(std::memory_order_acquire);
   if (s1 == 0) return false;
   out->sim_ms = w[0].load(std::memory_order_relaxed);
@@ -124,7 +124,7 @@ void FlightRecorder::Clear() {
     Ring* ring = rings_[r].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
     for (std::size_t s = 0; s < kSlotsPerThread; ++s) {
-      ring->words[s * kWordsPerSlot + 7].store(0, std::memory_order_release);
+      ring->slots[s].w[7].store(0, std::memory_order_release);
     }
   }
 }

@@ -31,15 +31,16 @@
 namespace fl::telemetry {
 
 namespace internal {
-// Initialized from FL_FLIGHT_RECORDER on first use ("0"/"off" → false).
-std::atomic<bool>& FlightEnabledFlag();
+// On by default; flight_recorder.cc applies FL_FLIGHT_RECORDER ("0"/"off" →
+// false) during static initialization.
+inline std::atomic<bool> g_flight_enabled{true};
 }  // namespace internal
 
 inline bool FlightRecorderEnabled() {
-  return internal::FlightEnabledFlag().load(std::memory_order_relaxed);
+  return internal::g_flight_enabled.load(std::memory_order_relaxed);
 }
 inline void SetFlightRecorderEnabled(bool on) {
-  internal::FlightEnabledFlag().store(on, std::memory_order_relaxed);
+  internal::g_flight_enabled.store(on, std::memory_order_relaxed);
 }
 
 // A decoded slot. `source` and `kind` are opaque u8 codes at this layer;
@@ -113,19 +114,23 @@ class FlightRecorder {
   }
 
  private:
+  // Slot layout: [0]=sim_ms [1]=wall_us [2]=device [3]=session [4]=round
+  // [5]=aux_a | aux_b<<32 | source<<48 | kind<<56, [6]=aux_c,
+  // [7]=seq (0 = invalid). Cache-line aligned, so a record dirties exactly
+  // one line of the simulator's cache.
+  struct alignas(64) Slot {
+    std::atomic<std::uint64_t> w[kWordsPerSlot];
+  };
   struct Ring {
-    // Slot layout: [0]=sim_ms [1]=wall_us [2]=device [3]=session [4]=round
-    // [5]=aux_a | aux_b<<32 | source<<48 | kind<<56, [6]=aux_c,
-    // [7]=seq (0 = invalid).
-    std::vector<std::atomic<std::uint64_t>> words;
-    // Owner thread only. The wall clock is sampled once per distinct sim_ms
-    // (a discrete-event burst shares one sample): the clock read is the
-    // single largest cost on the record path, and sub-sim-tick wall deltas
-    // carry no forensic signal.
+    std::vector<Slot> slots;
+    // Owner thread only. The wall clock is sampled once per sim-second
+    // (Record() explains the stride): the clock read is the single largest
+    // cost on the record path, and sub-stride wall deltas carry no forensic
+    // signal.
     std::uint64_t write_index = 0;
     std::uint64_t last_sim_ms = ~std::uint64_t{0};
     std::uint64_t last_wall_us = 0;
-    Ring() : words(kSlotsPerThread * kWordsPerSlot) {}
+    Ring() : slots(kSlotsPerThread) {}
   };
 
   FlightRecorder() = default;

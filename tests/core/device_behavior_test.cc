@@ -3,10 +3,20 @@
 // interruptions — the Sec. 3 contract points not already covered by the
 // round-level integration tests.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+
+#include "src/analytics/journal.h"
 #include "src/core/fl_system.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
+#include "src/tools/log_analyzer.h"
 #include "tests/core/journal_invariants.h"
 
 namespace fl::core {
@@ -163,6 +173,83 @@ TEST(DeviceBehaviorTest, InterruptionsProduceDropsNotHangs) {
   system.RunFor(Hours(6));
   EXPECT_GT(system.stats().shapes().Fraction("-v[!"), 0.05);
   EXPECT_GT(system.stats().rounds_committed(), 0u);
+}
+
+// A Secure Aggregation session whose upload was accepted ('^') stays online
+// for the Finalization round. Losing eligibility then just ends it: the
+// device already counted as the round's completed participant, so it must
+// not also journal '!' (which fl_analyze flags after '^') or count as a
+// drop. Short eligibility windows make the interrupt land in that wait.
+TEST(DeviceBehaviorTest, InterruptAfterAcceptedSecAggUploadIsNotADrop) {
+  FLSystemConfig config = BaseConfig(11);
+  config.population.mean_eligible_day = Minutes(4);
+  config.population.mean_eligible_night = Minutes(8);
+  const std::string path = ::testing::TempDir() + "secagg_linger." +
+                           std::to_string(::getpid()) + ".log";
+  ASSERT_TRUE(analytics::Journal::Global().Open(path).ok());
+  std::map<RoundId, RoundParticipantCounts> per_round;
+  {
+    FLSystem system(std::move(config));
+    protocol::RoundConfig rc = SmallRound();
+    rc.aggregation = protocol::AggregationMode::kSecure;
+    rc.overselection = 1.6;
+    system.AddTrainingTask("train", TestModel(), {}, {}, rc, Seconds(30));
+    system.ProvisionData(Provisioner());
+    system.Start();
+    system.RunFor(Hours(4));
+    per_round = system.stats().per_round();
+  }
+  analytics::Journal::Global().Close();
+
+  const auto report = tools::AnalyzeJournalFile(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->parse_errors, 0u);
+  EXPECT_TRUE(report->violations.empty()) << tools::RenderViolations(*report);
+
+  using analytics::JournalEventKind;
+  using analytics::JournalSource;
+  // Device sessions whose upload the aggregator accepted, and how many of
+  // them ended without completing (interrupted while waiting).
+  std::set<std::pair<std::uint64_t, std::uint64_t>> accepted_uploads;
+  std::map<RoundId, std::size_t> reports_accepted;
+  std::size_t ended_while_waiting = 0;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto rec = analytics::JournalRecord::Parse(line);
+    ASSERT_TRUE(rec.ok()) << line;
+    if (rec->event == JournalEventKind::kReportAccepted) {
+      ++reports_accepted[rec->round];
+      continue;
+    }
+    if (rec->source != JournalSource::kDevice) continue;
+    const auto key = std::make_pair(rec->device.value, rec->session.value);
+    switch (rec->event) {
+      case JournalEventKind::kUploadComplete:
+        accepted_uploads.insert(key);
+        break;
+      case JournalEventKind::kInterrupted:
+      case JournalEventKind::kError:
+        EXPECT_EQ(accepted_uploads.count(key), 0u) << line;
+        break;
+      case JournalEventKind::kSessionEnd:
+        if (accepted_uploads.erase(key) != 0 &&
+            analytics::DetailInt(rec->detail, "completed", -1) == 0) {
+          ++ended_while_waiting;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_GT(ended_while_waiting, 0u);
+  // Every accepted report is one completed participant, whatever its
+  // device did afterwards.
+  for (const auto& [round, n] : reports_accepted) {
+    EXPECT_EQ(per_round[round].completed, n) << round.value;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

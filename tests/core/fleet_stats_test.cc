@@ -46,6 +46,24 @@ TEST(FleetStatsTest, RoundOutcomeCountsAndSeries) {
   EXPECT_EQ(stats.round_log()[0].contributors, 20u);
 }
 
+// A lost round's count belongs to its loss reason (devices left pending at a
+// selection timeout, reports received below min_report): the round log still
+// shows no contributors for it.
+TEST(FleetStatsTest, LostRoundLogsNoContributors) {
+  FleetStats stats(SimTime{0}, Minutes(10));
+  Event timeout = Outcome(SimTime{1}, 3, RoundOutcome::kAbandonedSelection, 4);
+  timeout.reason = FlightReason::kSelectionTimeout;
+  Event below = Outcome(SimTime{2}, 4, RoundOutcome::kAbandonedReporting, 2);
+  below.reason = FlightReason::kBelowMinReports;
+  below.min_report = 5;
+  stats.OnEvent(timeout);
+  stats.OnEvent(below);
+  ASSERT_EQ(stats.round_log().size(), 2u);
+  EXPECT_EQ(stats.round_log()[0].contributors, 0u);
+  EXPECT_EQ(stats.round_log()[1].contributors, 0u);
+  EXPECT_EQ(stats.rounds_abandoned(), 2u);
+}
+
 TEST(FleetStatsTest, TimingPatchesTheMatchingLogRow) {
   FleetStats stats(SimTime{0}, Minutes(10));
   stats.OnEvent(Outcome(SimTime{1}, 7, RoundOutcome::kCommitted, 5,

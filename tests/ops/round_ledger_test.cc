@@ -194,6 +194,20 @@ TEST(RoundLedgerTest, DisableStopsRecordingButKeepsHistory) {
   EXPECT_EQ(ledger.totals().rounds_committed, 1u);
 }
 
+// A lost round's count is its loss reason's (here: devices still pending at
+// the selection timeout), so the ledger records no contributors for it.
+TEST(RoundLedgerTest, LostRoundRecordsNoContributors) {
+  RoundLedger ledger;
+  ledger.set_enabled(true);
+  Event timeout = Outcome(1, 9, RoundOutcome::kAbandonedSelection, 4);
+  timeout.reason = FlightReason::kSelectionTimeout;
+  ledger.OnEvent(timeout);
+  const std::vector<RoundRecord> recent = ledger.Recent();
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].contributors, 0u);
+  EXPECT_EQ(recent[0].outcome, RoundOutcome::kAbandonedSelection);
+}
+
 // The diagnostic bundler hangs off this hook, so it must fire with the ops
 // plane (and ledger recording) off.
 TEST(RoundLedgerTest, AbandonedHookFiresWhileDisabled) {
