@@ -7,15 +7,20 @@
 //     disabled cost (the same call with every gate off).
 //  2. Macro: the fleet simulator (FLSystem, the protocol hot path every
 //     record site lives on) run with the recorder OFF vs ON, telemetry and
-//     journal OFF both ways. Gate: enabled overhead <= 2% of the OFF run.
+//     journal OFF both ways, in interleaved pairs. Gate: the median of the
+//     per-pair process-CPU overheads is <= 2%.
 //
 // Results go to stdout and BENCH_flight_recorder.json.
 //
-// Usage: bench_flight_recorder [devices] [sim_hours]   (defaults: 20000 4)
+// Usage: bench_flight_recorder [devices] [sim_hours] [pairs]
+//        (defaults: 20000 16 15)
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/analytics/emit.h"
@@ -45,7 +50,27 @@ double RecordLoop(std::size_t iters) {
   return SecondsSince(t0);
 }
 
-double MacroFleetSeconds(std::size_t devices, std::int64_t sim_hours) {
+double CpuSecondsNow() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  auto tv = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return tv(ru.ru_utime) + tv(ru.ru_stime);
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+struct MacroRun {
+  double cpu_s = 0;
+  double wall_s = 0;
+};
+
+MacroRun MacroFleet(std::size_t devices, std::int64_t sim_hours) {
   auto config = bench::FleetConfig(devices, /*seed=*/42);
   config.data_refresh_period = Millis(0);
   core::FLSystem system(std::move(config));
@@ -57,8 +82,9 @@ double MacroFleetSeconds(std::size_t devices, std::int64_t sim_hours) {
   system.ProvisionData(bench::BlobsProvisioner(/*seed=*/5, /*per_device=*/30));
   system.Start();
   const auto t0 = std::chrono::steady_clock::now();
+  const double c0 = CpuSecondsNow();
   system.RunFor(Hours(sim_hours));
-  return SecondsSince(t0);
+  return {.cpu_s = CpuSecondsNow() - c0, .wall_s = SecondsSince(t0)};
 }
 
 }  // namespace
@@ -66,7 +92,8 @@ double MacroFleetSeconds(std::size_t devices, std::int64_t sim_hours) {
 int main(int argc, char** argv) {
   const std::size_t devices =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 20'000;
-  const std::int64_t sim_hours = argc > 2 ? std::atoll(argv[2]) : 4;
+  const std::int64_t sim_hours = argc > 2 ? std::atoll(argv[2]) : 16;
+  const int pairs = argc > 3 ? std::max(1, std::atoi(argv[3])) : 15;
 
   bench::PrintHeader(
       "Flight-recorder overhead — always-on must stay under 2%",
@@ -91,35 +118,56 @@ int main(int argc, char** argv) {
               gate_ns);
 
   // --- 2. macro: the fleet simulator with the recorder off vs on ---
-  // Interleaved best-of-3 pairs: single runs on a shared machine jitter by
-  // more than the effect being measured; the minimum of each arm estimates
-  // the noise-free cost, and interleaving keeps drift (thermal, page cache)
-  // from loading one arm.
+  // Per-pair ratios, then the median across pairs (as bench_profiler):
+  // machine speed on a shared host drifts by more than the 2% effect, but
+  // the two runs of a pair are adjacent in time and share it, so the ratio
+  // cancels the drift and the median discards outlier pairs. A best-of-N
+  // per arm would instead crown whichever arm caught the single fastest
+  // machine state. Process CPU time, not wall time, so that time the host
+  // gives other tenants does not count against either arm; wall ratios are
+  // reported alongside. The order within a pair alternates, so neither arm
+  // always runs on the state the other one warmed.
   telemetry::SetFlightRecorderEnabled(false);
-  MacroFleetSeconds(devices, sim_hours);  // warm-up
-  double off_s = 1e300;
-  double macro_on_s = 1e300;
-  constexpr int kPairs = 3;
-  for (int p = 0; p < kPairs; ++p) {
-    telemetry::SetFlightRecorderEnabled(false);
-    off_s = std::min(off_s, MacroFleetSeconds(devices, sim_hours));
-    telemetry::SetFlightRecorderEnabled(true);
-    macro_on_s = std::min(macro_on_s, MacroFleetSeconds(devices, sim_hours));
+  MacroFleet(devices, sim_hours);  // warm-up
+  const std::uint64_t records_before =
+      telemetry::FlightRecorder::Global().total_records();
+  std::vector<double> off_cpu, cpu_ratios, wall_ratios;
+  for (int p = 0; p < pairs; ++p) {
+    MacroRun off, on;
+    for (int slot = 0; slot < 2; ++slot) {
+      const bool recorder_on = (slot + p) % 2 == 1;
+      telemetry::SetFlightRecorderEnabled(recorder_on);
+      (recorder_on ? on : off) = MacroFleet(devices, sim_hours);
+    }
+    off_cpu.push_back(off.cpu_s);
+    cpu_ratios.push_back(on.cpu_s / off.cpu_s);
+    wall_ratios.push_back(on.wall_s / off.wall_s);
   }
   telemetry::SetFlightRecorderEnabled(false);
-  const double overhead_pct = (macro_on_s - off_s) / off_s * 100.0;
+  const double off_s = Median(off_cpu);
+  const double macro_on_s = off_s * Median(cpu_ratios);
+  const double overhead_pct = (Median(cpu_ratios) - 1.0) * 100.0;
+  const double wall_overhead_pct = (Median(wall_ratios) - 1.0) * 100.0;
   const bool within_gate = overhead_pct <= 2.0;
   const std::uint64_t recorded =
       telemetry::FlightRecorder::Global().total_records();
+  const std::uint64_t records_per_run =
+      (recorded - records_before) / static_cast<std::uint64_t>(pairs);
 
+  std::printf("\nper-pair overhead (recorder on vs same-pair off):\n");
+  for (int p = 0; p < pairs; ++p) {
+    std::printf("  pair %2d: off %.3f cpu-s, on %+6.2f%% cpu, %+6.2f%% wall\n",
+                p, off_cpu[p], (cpu_ratios[p] - 1.0) * 100.0,
+                (wall_ratios[p] - 1.0) * 100.0);
+  }
   std::printf("\nmacro fleet simulator (%zu devices, %lld sim-hours, "
-              "best of %d interleaved pairs):\n",
-              devices, static_cast<long long>(sim_hours), kPairs);
-  std::printf("  %-28s %8.3f s\n", "recorder disabled", off_s);
-  std::printf("  %-28s %8.3f s  (%+.2f%% vs disabled)\n", "recorder enabled",
-              macro_on_s, overhead_pct);
-  std::printf("  %-28s %llu records across %zu ring(s)\n", "recorded",
-              static_cast<unsigned long long>(recorded),
+              "median of %d interleaved pairs, process CPU seconds):\n",
+              devices, static_cast<long long>(sim_hours), pairs);
+  std::printf("  %-28s %8.3f cpu-s\n", "recorder disabled", off_s);
+  std::printf("  %-28s %8.3f cpu-s  (%+.2f%% vs disabled; wall %+.2f%%)\n",
+              "recorder enabled", macro_on_s, overhead_pct, wall_overhead_pct);
+  std::printf("  %-28s %llu records per run across %zu ring(s)\n", "recorded",
+              static_cast<unsigned long long>(records_per_run),
               telemetry::FlightRecorder::Global().rings_registered());
   std::printf("\nalways-on overhead %.2f%% — target <= 2%%: %s\n",
               overhead_pct, within_gate ? "PASS" : "FAIL");
@@ -136,10 +184,16 @@ int main(int argc, char** argv) {
       .BeginObject("macro")
       .Field("devices", devices)
       .Field("sim_hours", static_cast<std::size_t>(sim_hours))
+      .Field("pairs", static_cast<std::size_t>(pairs))
+      .Field("clock", "process_cpu")
       .Field("disabled_seconds", off_s)
       .Field("enabled_seconds", macro_on_s)
       .Field("overhead_pct", overhead_pct)
-      .Field("records", static_cast<std::size_t>(recorded))
+      .Field("wall_overhead_pct", wall_overhead_pct)
+      .Field("records", static_cast<std::size_t>(records_per_run));
+  json.BeginArray("pair_overhead_pct");
+  for (double r : cpu_ratios) json.Field("", (r - 1.0) * 100.0);
+  json.EndArray()
       .EndObject()
       .Field("within_2pct", within_gate)
       .EndObject();
