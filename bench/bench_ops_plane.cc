@@ -46,7 +46,8 @@ double CpuSecondsNow() {
   rusage ru{};
   ::getrusage(RUSAGE_SELF, &ru);
   auto tv = [](const timeval& t) {
-    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
   };
   return tv(ru.ru_utime) + tv(ru.ru_stime);
 }

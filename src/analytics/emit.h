@@ -26,9 +26,9 @@ inline bool IsServerSource(JournalSource s) {
 // Adds `e` to the fl_server_* counters.
 void CountServerFact(const Event& e);
 
-// The gates are inline, so a site whose consumers are all off costs a few
-// predicted loads. The modeling simulator's events (kSim) skip the flight
-// ring: they are journal-only, and its thread needs no ring.
+// Inline gates: a site whose consumers are all off costs a few loads. The
+// modeling simulator's (kSim) events are journal-only; its thread needs no
+// flight ring.
 inline void Emit(const Event& e) {
   if (IsJournaled(e.kind)) {
     if (telemetry::FlightRecorderEnabled() && e.source != JournalSource::kSim) {

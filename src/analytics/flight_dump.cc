@@ -14,6 +14,8 @@ namespace {
 constexpr std::uint8_t kFlightSpanSource = 250;
 constexpr std::uint8_t kFlightSpanBegin = 1;
 
+constexpr std::uint64_t kBytesMask = (std::uint64_t{1} << 40) - 1;
+
 constexpr std::array<const char*, 17> kReasonNames = {{
     "",                   // kNone
     "waiting pool full",  // selector strings, verbatim
@@ -220,6 +222,20 @@ std::size_t FormatJournalLine(const Event& e, std::int64_t wall_us,
   return static_cast<std::size_t>(p - out);
 }
 
+void RecordFlight(const Event& e) {
+  // aux_c packs bytes(40) | codec(8) | reason(8) | outcome(8).
+  const std::uint64_t aux_c =
+      (e.bytes & kBytesMask) | (std::uint64_t{e.codec} << 40) |
+      (static_cast<std::uint64_t>(e.reason) << 48) |
+      (static_cast<std::uint64_t>(e.outcome) << 56);
+  telemetry::FlightRecorder::Global().Record(
+      static_cast<std::uint8_t>(e.source), static_cast<std::uint8_t>(e.kind),
+      static_cast<std::uint64_t>(e.at.millis), e.device.value, e.session.value,
+      e.round.value, e.count,
+      static_cast<std::uint16_t>(std::min<std::uint32_t>(e.min_report, 0xffff)),
+      aux_c);
+}
+
 bool EventFromFlight(const telemetry::FlightRecord& rec, Event* out) {
   if (rec.source > static_cast<std::uint8_t>(JournalSource::kFrontend) ||
       !IsJournaled(static_cast<JournalEventKind>(rec.kind))) {
@@ -239,7 +255,7 @@ bool EventFromFlight(const telemetry::FlightRecord& rec, Event* out) {
       .device = DeviceId{rec.device},
       .session = SessionId{rec.session},
       .round = RoundId{rec.round},
-      .bytes = rec.aux_c & kFlightBytesMask};
+      .bytes = rec.aux_c & kBytesMask};
   return true;
 }
 

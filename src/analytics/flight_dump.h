@@ -37,21 +37,8 @@ std::size_t FormatJournalLine(const Event& e, std::int64_t wall_us,
                               char* out);
 
 // Writes `e` to this thread's ring. Callers check FlightRecorderEnabled().
-// The ring keeps min_report to 16 bits and bytes to 40 bits; aux_c packs
-// bytes(40) | codec(8) | reason(8) | outcome(8).
-inline constexpr std::uint64_t kFlightBytesMask = (std::uint64_t{1} << 40) - 1;
-inline void RecordFlight(const Event& e) {
-  const std::uint64_t aux_c =
-      (e.bytes & kFlightBytesMask) | (std::uint64_t{e.codec} << 40) |
-      (static_cast<std::uint64_t>(e.reason) << 48) |
-      (static_cast<std::uint64_t>(e.outcome) << 56);
-  telemetry::FlightRecorder::Global().Record(
-      static_cast<std::uint8_t>(e.source), static_cast<std::uint8_t>(e.kind),
-      static_cast<std::uint64_t>(e.at.millis), e.device.value, e.session.value,
-      e.round.value, e.count,
-      static_cast<std::uint16_t>(e.min_report < 0xffff ? e.min_report : 0xffff),
-      aux_c);
-}
+// The ring keeps min_report to 16 bits and bytes to 40 bits.
+void RecordFlight(const Event& e);
 
 // Decodes one flight record back into the Event it was recorded from.
 // Returns false for non-journal records (span begin/end from the tracer,

@@ -64,8 +64,7 @@ void FleetStats::OnEvent(const analytics::Event& e) {
       summary.at = e.at;
       summary.outcome = e.outcome;
       if (e.outcome == protocol::RoundOutcome::kCommitted) {
-        // A lost round's count is its loss reason's (devices left pending,
-        // reports received), not contributors.
+        // A lost round's count is its loss reason's, not contributors.
         summary.contributors = e.count;
         ++rounds_committed_;
         round_completions_.Add(e.at);

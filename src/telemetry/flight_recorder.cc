@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "src/telemetry/telemetry.h"
 
@@ -11,12 +11,9 @@ namespace fl::telemetry {
 namespace {
 
 [[maybe_unused]] const bool g_flight_env_applied = [] {
-  if (const char* env = std::getenv("FL_FLIGHT_RECORDER")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-        std::strcmp(env, "OFF") == 0) {
-      internal::g_flight_enabled.store(false, std::memory_order_relaxed);
-    }
-  }
+  const char* env = std::getenv("FL_FLIGHT_RECORDER");
+  const std::string_view v = env != nullptr ? env : "";
+  if (v == "0" || v == "off" || v == "OFF") SetFlightRecorderEnabled(false);
   return true;
 }();
 
@@ -53,13 +50,10 @@ void FlightRecorder::Record(std::uint8_t source, std::uint8_t kind,
   Ring* ring = ThisThreadRing();
   if (ring == nullptr) return;  // > kMaxThreads writers; drop
   const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  // Refresh the cached wall sample once per sim-second stride (first record
-  // included: last_sim_ms starts at ~0 so the difference is huge). Wall time
-  // is only for correlating dumps with external logs; sub-stride staleness
-  // is invisible there, and the clock read it saves is the single largest
-  // cost on this path: ~100 ns inside the fleet simulator, whose working
-  // set evicts the clock's data between records. A 64 sim-ms stride still
-  // read the clock on most fleet records, which arrive ~45 sim-ms apart.
+  // Refresh the cached wall sample once per sim-second (first record
+  // included: last_sim_ms starts at ~0). Wall time only correlates dumps
+  // with external logs; the clock read is this path's largest cost, and
+  // fleet records arrive ~45 sim-ms apart.
   if (sim_ms - ring->last_sim_ms >= 1000) {
     ring->last_sim_ms = sim_ms;
     ring->last_wall_us = static_cast<std::uint64_t>(WallMicros());

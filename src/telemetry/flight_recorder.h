@@ -123,10 +123,7 @@ class FlightRecorder {
   };
   struct Ring {
     std::vector<Slot> slots;
-    // Owner thread only. The wall clock is sampled once per sim-second
-    // (Record() explains the stride): the clock read is the single largest
-    // cost on the record path, and sub-stride wall deltas carry no forensic
-    // signal.
+    // Owner thread only; Record() explains the wall-clock stride.
     std::uint64_t write_index = 0;
     std::uint64_t last_sim_ms = ~std::uint64_t{0};
     std::uint64_t last_wall_us = 0;

@@ -293,5 +293,24 @@ TEST_F(FlightDumpTest, JournalAndFlightDumpShareOneProjection) {
   EXPECT_EQ(journal, dump);
 }
 
+// The modeling simulator's events are journal-only: its thread holds no
+// flight ring.
+TEST_F(FlightDumpTest, SimEventsSkipTheRing) {
+  const telemetry::FlightRecorder& recorder =
+      telemetry::FlightRecorder::Global();
+  const std::uint64_t before = recorder.total_records();
+  Emit({.at = SimTime{5},
+        .source = JournalSource::kSim,
+        .kind = JournalEventKind::kSimRoundStart,
+        .count = 100,
+        .round = RoundId{1}});
+  EXPECT_EQ(recorder.total_records(), before);
+  Emit({.at = SimTime{6},
+        .source = JournalSource::kCoordinator,
+        .kind = JournalEventKind::kPhase,
+        .round = RoundId{1}});
+  EXPECT_EQ(recorder.total_records(), before + 1);
+}
+
 }  // namespace
 }  // namespace fl::analytics
