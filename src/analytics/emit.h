@@ -23,8 +23,7 @@ inline bool IsServerSource(JournalSource s) {
   return s != JournalSource::kDevice && s != JournalSource::kSim;
 }
 
-// Adds `e` to the fl_server_* counters.
-void CountServerFact(const Event& e);
+void CountServerFact(const Event& e);  // the fl_server_* counters
 
 // Inline gates: a site whose consumers are all off costs a few loads. The
 // modeling simulator's (kSim) events are journal-only; its thread needs no

@@ -122,12 +122,11 @@ class FlightRecorder {
     std::atomic<std::uint64_t> w[kWordsPerSlot];
   };
   struct Ring {
-    std::vector<Slot> slots;
+    std::vector<Slot> slots = std::vector<Slot>(kSlotsPerThread);
     // Owner thread only; Record() explains the wall-clock stride.
     std::uint64_t write_index = 0;
     std::uint64_t last_sim_ms = ~std::uint64_t{0};
     std::uint64_t last_wall_us = 0;
-    Ring() : slots(kSlotsPerThread) {}
   };
 
   FlightRecorder() = default;
