@@ -5,9 +5,9 @@
 // dumps render Events through FormatJournalLine, so a crash dump and the
 // journal cannot drift.
 //
-// Emit() (analytics/emit.h) records every journaled kind here while the
-// recorder is on, so the last kSlotsPerThread events per thread exist even
-// when nothing else is recording.
+// Emit() (analytics/emit.h) records every journaled kind but kSim's here
+// while the recorder is on, so the last kSlotsPerThread events per thread
+// exist even when nothing else is recording.
 #pragma once
 
 #include <cstdint>
